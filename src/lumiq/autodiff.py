@@ -342,18 +342,6 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
 # softmax
 
 
-def softmax_vec(x: Tensor) -> Tensor:
-    """Softmax over a 1-d vector."""
-    if x.data.ndim != 1 or x.data.size == 0:
-        raise ValueError(f"softmax_vec needs a non-empty 1-d input, got shape {x.data.shape}")
-    shifted = x.data - x.data.max()
-    e = np.exp(shifted)
-    s = e / e.sum()
-    out = _result(s, (x,))
-    record(out, (x,), lambda g: (s * (g - float(np.dot(g, s))),))
-    return out
-
-
 def softmax_channels(x: Tensor) -> Tensor:
     """Softmax along the channel axis of a (b, c, h, w) tensor."""
     if x.data.ndim != 4:

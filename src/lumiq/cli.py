@@ -31,10 +31,8 @@ from .losses import (
     reconstruction_loss,
     total_loss,
 )
-from .lqm import GramMatrix, LightFactor, LqmState, extract_light_factor, gram_matrix, \
-    light_consistency_loss, lqm_contrastive_loss
+from .lqm import LqmState, light_consistency_loss, light_factors, lqm_contrastive_loss
 from .metrics import psnr, ssim, write_metrics_csv
-from .networks import encode
 from .training import (
     Stage1Model,
     Stage2Model,
@@ -275,7 +273,7 @@ def cmd_analyze_codes(args, cfg: TrainConfig) -> int:
     model.codebook.reset_usage()
     positions = 0
     for path in list_ppm_inputs(args.images):
-        Z, _ = encode(read_image(path), encoder)
+        Z, _ = encoder.forward(read_image(path))
         quantize_nearest(Z, model.codebook, update_usage=True)
         positions += Z.data.shape[0] * Z.data.shape[2] * Z.data.shape[3]
     os.makedirs(args.out, exist_ok=True)
@@ -338,11 +336,9 @@ def gradcheck_cases(seed: int):
     x_soft = Tensor(rng.normal(size=(2, 5, 2, 2)))
     cases.append(("softmax_channels",
                   lambda t: ad.sum_all(ad.square(ad.softmax_channels(t))), x_soft))
-    x_vec = Tensor(rng.normal(size=7))
-    cases.append(("softmax_vec", lambda t: ad.sum_all(ad.square(ad.softmax_vec(t))), x_vec))
 
-    feat = Tensor(rng.normal(size=(1, 4, 5, 5)))
-    cases.append(("gram", lambda t: ad.sum_all(ad.square(gram_matrix(t).values)), feat))
+    feat = Tensor(rng.normal(size=(2, 4, 5, 5)))
+    cases.append(("gram", lambda t: ad.sum_all(ad.square(ad.gram(t))), feat))
 
     rows = Tensor(rng.normal(size=(3, 6)))
     mix_w = Tensor(rng.uniform(0.1, 1.0, size=(4, 3, 1, 1)))
@@ -387,38 +383,29 @@ def gradcheck_cases(seed: int):
     cases.append(("codebook_matching/code-term",
                   lambda t: ad.mean_all(ad.square(ad.sub(z_ll, t))), z_h))
 
-    fa = Tensor(_away_from_zero(rng, 6))
-    fb = Tensor(_away_from_zero(rng, 6))
-
-    def consistency(t):
-        return light_consistency_loss(LightFactor(t, level=0, n_l=9, d_l=6),
-                                      LightFactor(fb, level=0, n_l=9, d_l=6))
-
-    cases.append(("light_consistency", consistency, fa))
+    fa = _away_from_zero(rng, 6)
+    fb = _away_from_zero(rng, 6)
+    cases.append(("light_consistency",
+                  lambda t: light_consistency_loss(t, Tensor(fb[None]), 9), Tensor(fa[None])))
 
     # build companions that keep both hinge branches active at the probe:
     # a same-label factor at cosine distance ~0.4 (> margin) and a
     # different-label factor nearly parallel (distance ~1e-4 < margin)
-    unit_a = fa.data / np.linalg.norm(fa.data)
+    unit_a = fa / np.linalg.norm(fa)
     raw = rng.normal(size=6)
     perp = raw - raw.dot(unit_a) * unit_a
     perp /= np.linalg.norm(perp)
-    scale = np.linalg.norm(fa.data)
+    scale = np.linalg.norm(fa)
     far_same = Tensor(scale * (0.6 * unit_a + 0.8 * perp))
-    near_diff = Tensor(1.3 * fa.data + 0.01 * scale * perp)
-
-    def contrastive(t):
-        factors = [(LightFactor(t, 0, 9, 6), 0), (LightFactor(far_same, 0, 9, 6), 0),
-                   (LightFactor(near_diff, 0, 9, 6), 1)]
-        return lqm_contrastive_loss(factors, 0.1)
-
-    cases.append(("lqm_contrastive", contrastive, fa))
+    near_diff = Tensor(1.3 * fa + 0.01 * scale * perp)
+    cases.append(("lqm_contrastive",
+                  lambda t: lqm_contrastive_loss([(t, 0), (far_same, 0), (near_diff, 1)], 0.1),
+                  Tensor(fa)))
 
     lqm = LqmState(rng, [4], d_l=5)
-    cases.append(("extract_light_factor",
-                  lambda t: ad.sum_all(ad.square(
-                      extract_light_factor(GramMatrix(ad.reshape(t, (4, 4)), 25), lqm).values)),
-                  Tensor(rng.normal(size=16))))
+    cases.append(("light_factors",
+                  lambda t: ad.sum_all(ad.square(light_factors([t], lqm)[0])),
+                  Tensor(rng.normal(size=(2, 4, 3, 3)))))
 
     bank = PromptBank(rng, 3, 4)
     f_e = Tensor(rng.normal(size=(1, 4, 4, 4)))

@@ -128,11 +128,9 @@ class PromptPyramid:
     def __init__(self, rng: np.random.Generator, channel_sizes: list[int], n_prompts: int = 5,
                  negative_slope: float = 0.2):
         self.banks = [PromptBank(rng, n_prompts, c, negative_slope) for c in channel_sizes]
-        self.patches = []
         self.n_prompts = n_prompts
         self.max_weight_sum_dev = 0.0
         self.collector: list[PromptWeights] | None = None
-        self.frozen = False
 
     def patch_for(self, h: int) -> int:
         return max(h // 4, 1)
@@ -154,6 +152,5 @@ class PromptPyramid:
         return out
 
     def set_frozen(self, flag: bool) -> None:
-        self.frozen = flag
         for _, p in self.named_params():
             p.requires_grad = not flag

@@ -2,14 +2,12 @@
 light factors, plus the contrastive and consistency losses that train
 and exploit them.
 
-Factors are extracted per encoder tap level.  Same-lighting factor
-pairs are pulled inside a cosine-distance margin, different-lighting
-pairs pushed outside it.
+Factors are extracted per encoder tap level as one (b, d_l) matrix, a
+row per batch item.  Same-lighting factor pairs are pulled inside a
+cosine-distance margin, different-lighting pairs pushed outside it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,62 +20,16 @@ class DegenerateFactorError(ValueError):
     """A light factor has zero norm, so cosine distance is undefined."""
 
 
-@dataclass
-class GramMatrix:
-    values: Tensor  # (c, c)
-    n_spatial: int
-
-
-@dataclass
-class LightFactor:
-    values: Tensor  # (d_l,)
-    level: int
-    n_l: int
-    d_l: int
-
-
-def gram_matrix(F: Tensor) -> GramMatrix:
-    """Channel co-activation Gram of one feature map.
-
-    Accepts (c, h, w) or (1, c, h, w); entry [i, j] is the dot product
-    of channel rows i and j over the h*w flattened positions.
-    """
-    if F.data.ndim == 3:
-        c, h, w = F.data.shape
-        F4 = ad.reshape(F, (1, c, h, w))
-    elif F.data.ndim == 4 and F.data.shape[0] == 1:
-        _, c, h, w = F.data.shape
-        F4 = F
-    else:
-        raise ShapeError(f"gram_matrix needs (c, h, w) or (1, c, h, w), got {F.data.shape}")
-    G = ad.reshape(ad.gram(F4), (c, c))
-    return GramMatrix(values=G, n_spatial=h * w)
-
-
 class LqmState:
-    """Per-level two-affine-layer maps from flattened Grams to factors.
-
-    Levels are distinguished by their Gram side length, so extraction
-    dispatches on the incoming matrix shape.
-    """
+    """Per-level two-affine-layer maps from flattened Grams to factors."""
 
     def __init__(self, rng: np.random.Generator, channel_sizes: list[int], d_l: int = 16,
                  hidden: int = 32, negative_slope: float = 0.2):
-        if len(set(channel_sizes)) != len(channel_sizes):
-            raise ValueError(f"tap channel sizes must be distinct, got {channel_sizes}")
-        self.channel_sizes = list(channel_sizes)
         self.d_l = d_l
         self.negative_slope = negative_slope
         self.layers: list[tuple[Conv, Conv]] = []
         for c in channel_sizes:
             self.layers.append((Conv(rng, c * c, hidden, 1, pad=0), Conv(rng, hidden, d_l, 1, pad=0)))
-        self.frozen = False
-
-    def level_of(self, c: int) -> int:
-        try:
-            return self.channel_sizes.index(c)
-        except ValueError:
-            raise ShapeError(f"no light-factor map for {c}x{c} Grams (tap sizes {self.channel_sizes})")
 
     def named_params(self, prefix: str = "lqm"):
         out = []
@@ -87,26 +39,29 @@ class LqmState:
         return out
 
     def set_frozen(self, flag: bool) -> None:
-        self.frozen = flag
         for _, p in self.named_params():
             p.requires_grad = not flag
 
 
-def extract_light_factor(G: GramMatrix, lqm: LqmState) -> LightFactor:
-    """Flatten the Gram and push it through the matching level's map."""
-    c = G.values.data.shape[0]
-    if G.values.data.shape != (c, c):
-        raise ShapeError(f"extract_light_factor needs a square Gram, got {G.values.data.shape}")
-    level = lqm.level_of(c)
-    first, second = lqm.layers[level]
-    flat = ad.reshape(G.values, (1, c * c, 1, 1))
-    hidden = ad.leaky_relu(first(flat), lqm.negative_slope)
-    vec = ad.reshape(second(hidden), (lqm.d_l,))
-    return LightFactor(values=vec, level=level, n_l=G.n_spatial, d_l=lqm.d_l)
+def light_factors(skips: list[Tensor], lqm: LqmState) -> list[Tensor]:
+    """One (b, d_l) factor matrix per tap level, a row per batch item.
+
+    Each level's batched Gram is flattened to (b, c*c, 1, 1) and pushed
+    through that level's two 1x1 convs.
+    """
+    if len(skips) != len(lqm.layers):
+        raise ShapeError(f"light_factors: {len(skips)} tap levels, LQM maps {len(lqm.layers)}")
+    out = []
+    for feat, (first, second) in zip(skips, lqm.layers):
+        b, c = feat.data.shape[:2]
+        flat = ad.reshape(ad.gram(feat), (b, c * c, 1, 1))
+        hidden = ad.leaky_relu(first(flat), lqm.negative_slope)
+        out.append(ad.reshape(second(hidden), (b, lqm.d_l)))
+    return out
 
 
 def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
-    """1 - cosine similarity of two 1-d vectors."""
+    """1 - cosine similarity of two same-shaped factors."""
     na = float(np.linalg.norm(a.data))
     nb = float(np.linalg.norm(b.data))
     if na == 0.0 or nb == 0.0:
@@ -116,7 +71,7 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
     return ad.sub(Tensor(1.0), ad.div(dot, denom))
 
 
-def lqm_contrastive_loss(factors: list[tuple[LightFactor, int]], margin: float) -> Tensor:
+def lqm_contrastive_loss(factors: list[tuple[Tensor, int]], margin: float) -> Tensor:
     """Hinged pair loss over all unordered factor pairs.
 
     Same-label pairs contribute relu(dist - margin)^2, different-label
@@ -124,16 +79,16 @@ def lqm_contrastive_loss(factors: list[tuple[LightFactor, int]], margin: float) 
     """
     if len(factors) < 2:
         raise ValueError(f"need at least 2 factors, got {len(factors)}")
-    d_l = factors[0][0].d_l
+    shape = factors[0][0].data.shape
     for f, _ in factors:
-        if f.d_l != d_l:
-            raise ShapeError(f"factor dims differ: {f.d_l} vs {d_l}")
+        if f.data.shape != shape:
+            raise ShapeError(f"factor shapes differ: {f.data.shape} vs {shape}")
     total = Tensor(0.0)
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             f_i, lab_i = factors[i]
             f_j, lab_j = factors[j]
-            dist = cosine_distance(f_i.values, f_j.values)
+            dist = cosine_distance(f_i, f_j)
             if lab_i == lab_j:
                 hinge = ad.relu(ad.sub(dist, Tensor(margin)))
             else:
@@ -142,15 +97,14 @@ def lqm_contrastive_loss(factors: list[tuple[LightFactor, int]], margin: float) 
     return total
 
 
-def light_consistency_loss(f_a: LightFactor, f_b: LightFactor) -> Tensor:
-    """Scaled squared distance between paired factors.
+def light_consistency_loss(f_a: Tensor, f_b: Tensor, n_l: int) -> Tensor:
+    """Scaled squared distance between paired factor rows, averaged over rows.
 
-    (1 / (4 d_l^2 n_l^2)) * sum_i (f_a[i] - f_b[i])^2.
+    For (b, d_l) matrices: (1 / b) sum_rows (1 / (4 d_l^2 n_l^2)) sum_i (f_a[i] - f_b[i])^2.
     """
-    if f_a.d_l != f_b.d_l or f_a.n_l != f_b.n_l or f_a.level != f_b.level:
-        raise ShapeError(
-            f"consistency loss needs matching factors, got (d_l={f_a.d_l}, n_l={f_a.n_l}, "
-            f"level={f_a.level}) vs (d_l={f_b.d_l}, n_l={f_b.n_l}, level={f_b.level})"
-        )
-    scale = 1.0 / (4.0 * (f_a.d_l ** 2) * (f_a.n_l ** 2))
-    return ad.mul(ad.sum_all(ad.square(ad.sub(f_a.values, f_b.values))), Tensor(scale))
+    if f_a.data.ndim != 2 or f_a.data.shape != f_b.data.shape:
+        raise ShapeError(f"consistency loss needs matching (b, d_l) factors, got "
+                         f"{f_a.data.shape} and {f_b.data.shape}")
+    b, d_l = f_a.data.shape
+    scale = 1.0 / (4.0 * (d_l ** 2) * (n_l ** 2))
+    return ad.div(ad.mul(ad.sum_all(ad.square(ad.sub(f_a, f_b))), Tensor(scale)), Tensor(float(b)))

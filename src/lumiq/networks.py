@@ -66,10 +66,6 @@ class ResnetBlock:
         return self.conv1.named_params(f"{prefix}.conv1") + self.conv2.named_params(f"{prefix}.conv2")
 
 
-def resnet_block(F: Tensor, params: ResnetBlock) -> Tensor:
-    return params(F)
-
-
 class SkipFusion:
     """Affine skip modulation: alpha, beta from one 3x3 conv over [F_d, F_e].
 
@@ -96,10 +92,6 @@ class SkipFusion:
         return self.conv.named_params(f"{prefix}.conv")
 
 
-def skip_fusion(F_d: Tensor, F_e: Tensor, params: SkipFusion) -> Tensor:
-    return params(F_d, F_e)
-
-
 def _set_requires(params, flag: bool) -> None:
     for _, t in params:
         t.requires_grad = flag
@@ -120,7 +112,6 @@ class Encoder:
             self.blocks.append(ResnetBlock(rng, c_out, cfg.negative_slope))
             c_in = c_out
         self.to_code = Conv(rng, c_in, cfg.code_dim, 3)
-        self.frozen = False
 
     def forward(self, I: Tensor) -> tuple[Tensor, list[Tensor]]:
         if I.data.ndim != 4 or I.data.shape[1] != self.cfg.image_channels:
@@ -145,7 +136,6 @@ class Encoder:
         return out
 
     def set_frozen(self, flag: bool) -> None:
-        self.frozen = flag
         _set_requires(self.named_params(), not flag)
 
 
@@ -171,7 +161,6 @@ class Decoder:
             self.blocks.append(ResnetBlock(rng, ch, cfg.negative_slope))
             self.ups.append(Conv(rng, ch, ch_next, 3))
         self.final = Conv(rng, cfg.base_channels, cfg.image_channels, 3)
-        self.frozen = False
 
     def forward(self, Z_q: Tensor, skips: list[Tensor], prompts=None) -> Tensor:
         if Z_q.data.ndim != 4 or Z_q.data.shape[1] != self.cfg.code_dim:
@@ -206,7 +195,6 @@ class Decoder:
         return self.core_named_params(prefix) + self.fusion_named_params(prefix)
 
     def set_frozen(self, flag: bool) -> None:
-        self.frozen = flag
         _set_requires(self.named_params(), not flag)
 
     def set_core_frozen(self, flag: bool) -> None:
@@ -222,7 +210,6 @@ class Discriminator:
         self.conv1 = Conv(rng, cfg.image_channels, c, 3, stride=2)
         self.conv2 = Conv(rng, c, 2 * c, 3, stride=2)
         self.conv3 = Conv(rng, 2 * c, 1, 3, stride=1)
-        self.frozen = False
 
     def forward(self, I: Tensor) -> Tensor:
         s = self.cfg.negative_slope
@@ -238,17 +225,4 @@ class Discriminator:
         )
 
     def set_frozen(self, flag: bool) -> None:
-        self.frozen = flag
         _set_requires(self.named_params(), not flag)
-
-
-def encode(I: Tensor, enc: Encoder) -> tuple[Tensor, list[Tensor]]:
-    return enc.forward(I)
-
-
-def decode(Z_q: Tensor, skips: list[Tensor], dec: Decoder, prompts=None) -> Tensor:
-    return dec.forward(Z_q, skips, prompts)
-
-
-def discriminate(I: Tensor, disc: Discriminator) -> Tensor:
-    return disc.forward(I)

@@ -32,8 +32,8 @@ from .losses import (
     vq_total_loss,
     write_loss_csv,
 )
-from .lqm import LqmState, gram_matrix, extract_light_factor, light_consistency_loss, lqm_contrastive_loss
-from .networks import Decoder, Discriminator, Encoder, NetworkConfig, decode, discriminate, encode
+from .lqm import LqmState, light_consistency_loss, light_factors, lqm_contrastive_loss
+from .networks import Decoder, Discriminator, Encoder, NetworkConfig
 
 
 class CompatibilityError(RuntimeError):
@@ -174,6 +174,8 @@ def load_config(path) -> TrainConfig:
             if key in ("sigma", "gamma", "lambda_lcl"):
                 weight_kw[key] = float(val)
             elif key in _BOOL_KEYS:
+                if val.lower() not in ("true", "false"):
+                    raise ValueError(f"{path}:{lineno}: {key} must be true or false, got {val!r}")
                 cfg_kw[key] = val.lower() == "true"
             elif key in _FLOAT_KEYS:
                 cfg_kw[key] = float(val)
@@ -266,9 +268,8 @@ def stage1_from_entries(entries: dict, cfg: TrainConfig) -> Stage1Model:
 def stage2_entries(model: Stage2Model) -> dict[str, np.ndarray]:
     entries = dict(_config_entries(model.cfg))
     entries["config/stage"] = np.asarray(2.0)
-    entries["config/use_fusion"] = np.asarray(float(model.cfg.use_fusion))
-    entries["config/use_lqm"] = np.asarray(float(model.cfg.use_lqm))
-    entries["config/use_lapm"] = np.asarray(float(model.cfg.use_lapm))
+    for k in _BOOL_KEYS:
+        entries[f"config/{k}"] = np.asarray(float(getattr(model.cfg, k)))
     groups = (model.encoder.named_params("encoder2") + model.encoder_ref.named_params()
               + model.decoder.named_params() + model.disc.named_params())
     if model.lqm is not None:
@@ -284,13 +285,12 @@ def stage2_entries(model: Stage2Model) -> dict[str, np.ndarray]:
 
 def stage2_from_entries(entries: dict, cfg: TrainConfig) -> Stage2Model:
     _check_config(entries, cfg, ("n_codes", "code_dim", "base_channels", "n_down", "n_prompts", "d_l"))
-    use_lqm = bool(entries.get("config/use_lqm", np.asarray(1.0)).reshape(()))
-    use_lapm = bool(entries.get("config/use_lapm", np.asarray(1.0)).reshape(()))
-    cfg = replace(cfg, use_lqm=use_lqm, use_lapm=use_lapm)
+    cfg = replace(cfg, **{k: bool(entries.get(f"config/{k}", np.asarray(1.0)).reshape(()))
+                          for k in _BOOL_KEYS})
     rng = np.random.default_rng(0)
     netcfg = cfg.network_config()
-    lqm = LqmState(rng, cfg.tap_channels(), d_l=cfg.d_l) if use_lqm else None
-    prompts = PromptPyramid(rng, cfg.tap_channels(), n_prompts=cfg.n_prompts) if use_lapm else None
+    lqm = LqmState(rng, cfg.tap_channels(), d_l=cfg.d_l) if cfg.use_lqm else None
+    prompts = PromptPyramid(rng, cfg.tap_channels(), n_prompts=cfg.n_prompts) if cfg.use_lapm else None
     model = Stage2Model(Encoder(netcfg, rng), Encoder(netcfg, rng), Decoder(netcfg, rng),
                         Codebook(cfg.n_codes, cfg.code_dim, rng), Discriminator(netcfg, rng),
                         lqm, prompts, cfg)
@@ -341,37 +341,27 @@ def load_any(path):
 # batching helpers
 
 
-def _crop(rng: np.random.Generator, img: np.ndarray, crop: int) -> np.ndarray:
-    _, _, h, w = img.shape
+def _crop(rng: np.random.Generator, crop: int, *imgs: np.ndarray) -> list[np.ndarray]:
+    """Crop same-sized images at one random offset; no draw if already crop-sized."""
+    _, _, h, w = imgs[0].shape
     if h == crop and w == crop:
-        return img
+        return list(imgs)
     if h < crop or w < crop:
-        raise ShapeError(f"image {img.shape} smaller than crop {crop}")
+        raise ShapeError(f"image {imgs[0].shape} smaller than crop {crop}")
     i = int(rng.integers(0, h - crop + 1))
     j = int(rng.integers(0, w - crop + 1))
-    return img[:, :, i : i + crop, j : j + crop]
+    return [img[:, :, i : i + crop, j : j + crop] for img in imgs]
 
 
 def _batch_images(rng, images: list[Tensor], batch_size: int, crop: int) -> Tensor:
     idx = rng.integers(0, len(images), size=batch_size)
-    crops = [_crop(rng, images[i].data, crop) for i in idx]
-    return Tensor(np.concatenate(crops, axis=0))
+    return Tensor(np.concatenate([_crop(rng, crop, images[i].data)[0] for i in idx]))
 
 
 def _batch_pairs(rng, pairs: list[ImagePair], batch_size: int, crop: int) -> tuple[Tensor, Tensor]:
     idx = rng.integers(0, len(pairs), size=batch_size)
-    lows, normals = [], []
-    for i in idx:
-        _, _, h, w = pairs[i].low.data.shape
-        if h == crop and w == crop:
-            lows.append(pairs[i].low.data)
-            normals.append(pairs[i].normal.data)
-        else:
-            oi = int(rng.integers(0, h - crop + 1))
-            oj = int(rng.integers(0, w - crop + 1))
-            lows.append(pairs[i].low.data[:, :, oi : oi + crop, oj : oj + crop])
-            normals.append(pairs[i].normal.data[:, :, oi : oi + crop, oj : oj + crop])
-    return Tensor(np.concatenate(lows, axis=0)), Tensor(np.concatenate(normals, axis=0))
+    lows, normals = zip(*(_crop(rng, crop, pairs[i].low.data, pairs[i].normal.data) for i in idx))
+    return Tensor(np.concatenate(lows)), Tensor(np.concatenate(normals))
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +394,12 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
         model.disc.set_frozen(True)
         tape = Tape()
         with tape:
-            Z, skips = encode(I_h, model.encoder)
+            Z, skips = model.encoder.forward(I_h)
             res = quantize_nearest(Z, model.codebook)
-            I_rec = decode(res.quantized, skips, model.decoder)
+            I_rec = model.decoder.forward(res.quantized, skips)
             l_mae = l1_loss(I_h, I_rec)
             l_cma = codebook_matching_loss(Z, res.lookup, cfg.weights.sigma)
-            fake_logits = discriminate(I_rec, model.disc)
+            fake_logits = model.disc.forward(I_rec)
             l_adv = ad.mul(adversarial_loss(None, fake_logits, gamma, "generator"), Tensor(gamma))
             try:
                 l_total = vq_total_loss(l_mae, l_cma, l_adv)
@@ -421,8 +411,8 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
         model.disc.set_frozen(False)
         dtape = Tape()
         with dtape:
-            real_logits = discriminate(I_h, model.disc)
-            fake_detached = discriminate(Tensor(I_rec.data.copy()), model.disc)
+            real_logits = model.disc.forward(I_h)
+            fake_detached = model.disc.forward(Tensor(I_rec.data.copy()))
             objective = adversarial_loss(real_logits, fake_detached, gamma, "discriminator")
             disc_loss = ad.mul(objective, Tensor(-1.0))
         if not np.isfinite(disc_loss.data):
@@ -438,9 +428,9 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
 
 def reconstruct(image: Tensor, model: Stage1Model, update_usage: bool = False):
     """Clean-path forward pass: encode, match codes, decode.  No grads."""
-    Z, skips = encode(image, model.encoder)
+    Z, skips = model.encoder.forward(image)
     res = quantize_nearest(Z, model.codebook, update_usage=update_usage)
-    return decode(res.quantized, skips, model.decoder), res
+    return model.decoder.forward(res.quantized, skips), res
 
 
 # ---------------------------------------------------------------------------
@@ -452,26 +442,24 @@ def _copy_params(src_named, dst_named) -> None:
         pd.data[:] = ps.data
 
 
-def _light_factors(skips: list[Tensor], lqm: LqmState) -> list[list]:
-    """Per batch item, per level, one light factor from the skip features."""
-    b = skips[0].data.shape[0]
-    out = [[] for _ in range(b)]
-    for level, feat in enumerate(skips):
-        _, c, h, w = feat.data.shape
-        for n in range(b):
-            item = ad.reshape(ad.slice_channels(ad.reshape(feat, (1, b * c, h, w)), n * c, (n + 1) * c),
-                              (c, h, w))
-            out[n].append(extract_light_factor(gram_matrix(item), lqm))
-    return out
-
-
-def _lqm_pair_loss(f_low: list[list], f_normal: list[list], margin: float) -> Tensor:
+def _lqm_pair_loss(skips_ll: list[Tensor], skips_nl: list[Tensor], lqm: LqmState,
+                   margin: float) -> Tensor:
     """Contrastive pairs per the batch policy: same-scene (low, normal)
-    pairs differ in lighting; normal crops pair as same-lighting."""
-    b = len(f_low)
-    n_levels = len(f_low[0])
+    pairs differ in lighting; normal crops pair as same-lighting.
+
+    Factors come from detached per-scene copies of the skips, so only the
+    factor maps learn.  Scenes and pairs are scored one by one on
+    purpose: batching them changes the rounding of the LQM gradients, and
+    stage-2 training amplifies that into a visibly different run.
+    """
+    b = skips_ll[0].data.shape[0]
+
+    def per_scene(skips):
+        return [light_factors([Tensor(s.data[n : n + 1]) for s in skips], lqm) for n in range(b)]
+
+    f_low, f_normal = per_scene(skips_ll), per_scene(skips_nl)
     loss = Tensor(0.0)
-    for level in range(n_levels):
+    for level in range(len(skips_ll)):
         for i in range(b):
             loss = ad.add(loss, lqm_contrastive_loss(
                 [(f_low[i][level], 0), (f_normal[i][level], 1)], margin))
@@ -482,25 +470,16 @@ def _lqm_pair_loss(f_low: list[list], f_normal: list[list], margin: float) -> Te
     return loss
 
 
-def _consistency_sum(f_low: list[list], f_normal: list[list]) -> Tensor:
-    """Mean over scenes, summed over levels."""
-    b = len(f_low)
-    loss = Tensor(0.0)
-    for i in range(b):
-        for level in range(len(f_low[i])):
-            loss = ad.add(loss, light_consistency_loss(f_low[i][level], f_normal[i][level]))
-    return ad.div(loss, Tensor(float(b)))
-
-
 def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig,
                    step_hook=None, log_hook=None):
     """Stage-2 alternating training.
 
-    Per iteration: an LQM update on frozen-encoder factors, an enhancer
-    update (encoder copy + prompts + fusion convs) with the combined
-    objective, then a discriminator update.  Codebook and decoder core
-    stay frozen throughout.  step_hook(phase, step, model) fires after
-    each sub-step; loss rows are (step, l_adv, l_fml, l_rec, l_lcl, l_total).
+    Per iteration: one tracked encoder pass per input, an LQM update on
+    detached copies of its skips, an enhancer update (encoder copy +
+    prompts + fusion convs) with the combined objective, then a
+    discriminator update.  Codebook and decoder core stay frozen
+    throughout.  step_hook(phase, step, model) fires after each
+    sub-step; loss rows are (step, l_adv, l_fml, l_rec, l_lcl, l_total).
     """
     if not pairs:
         raise ValueError("train_enhancer needs a non-empty pair list")
@@ -543,18 +522,11 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     gamma = cfg.weights.gamma
     rows = []
 
-    def lqm_update(step: int, I_ll: Tensor, I_nl: Tensor) -> None:
+    def lqm_update(step: int, skips_ll: list[Tensor], skips_nl: list[Tensor]) -> None:
         lqm.set_frozen(False)
-        # encoder runs untracked; only the factor maps learn here
-        _, skips_ll = encode(I_ll, model.encoder)
-        _, skips_nl = encode(I_nl, model.encoder)
-        skips_ll = [Tensor(s.data) for s in skips_ll]
-        skips_nl = [Tensor(s.data) for s in skips_nl]
         tape = Tape()
         with tape:
-            f_low = _light_factors(skips_ll, lqm)
-            f_normal = _light_factors(skips_nl, lqm)
-            loss = _lqm_pair_loss(f_low, f_normal, cfg.margin)
+            loss = _lqm_pair_loss(skips_ll, skips_nl, lqm, cfg.margin)
         if not np.isfinite(loss.data):
             raise DivergenceError(f"stage 2 step {step}: LQM loss is not finite")
         ad.backward(loss, tape)
@@ -566,33 +538,34 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     total_warmup = cfg.lqm_warmup if lqm else 0
     for w in range(total_warmup):
         I_ll, I_nl = _batch_pairs(rng, pairs, cfg.batch_size, cfg.crop)
-        lqm_update(-total_warmup + w, I_ll, I_nl)
+        # no tape is active, so these encodes run untracked
+        lqm_update(-total_warmup + w, model.encoder.forward(I_ll)[1], model.encoder.forward(I_nl)[1])
 
     for step in range(cfg.stage2_iters):
         I_ll, I_nl = _batch_pairs(rng, pairs, cfg.batch_size, cfg.crop)
 
-        if lqm is not None:
-            lqm_update(step, I_ll, I_nl)
-
         # enhancer update: encoder copy, prompts, fusion
         model.disc.set_frozen(True)
-        with_targets = encode(I_nl, model.encoder_ref)  # untracked: params frozen, inputs constant
+        with_targets = model.encoder_ref.forward(I_nl)  # untracked: params frozen, inputs constant
         Zq_h = quantize_nearest(with_targets[0], model.codebook, update_usage=False).quantized
         Zq_h = Tensor(Zq_h.data)
         tape = Tape()
         with tape:
-            Z_ll, skips_ll = encode(I_ll, model.encoder)
+            Z_ll, skips_ll = model.encoder.forward(I_ll)
+            if lqm is not None:
+                _, skips_nl = model.encoder.forward(I_nl)
+                lqm_update(step, skips_ll, skips_nl)
             res = quantize_nearest(Z_ll, model.codebook)
-            I_rec = decode(res.quantized, skips_ll, model.decoder, prompts=prompts)
-            l_adv = ad.mul(adversarial_loss(None, discriminate(I_rec, model.disc), gamma, "generator"),
+            I_rec = model.decoder.forward(res.quantized, skips_ll, prompts=prompts)
+            l_adv = ad.mul(adversarial_loss(None, model.disc.forward(I_rec), gamma, "generator"),
                            Tensor(gamma))
             l_fml = feature_matching_loss(Z_ll, Zq_h, cfg.weights.sigma)
             l_rec = reconstruction_loss(I_rec, I_nl, px)
+            l_lcl = Tensor(0.0)
             if lqm is not None:
-                _, skips_nl = encode(I_nl, model.encoder)
-                l_lcl = _consistency_sum(_light_factors(skips_ll, lqm), _light_factors(skips_nl, lqm))
-            else:
-                l_lcl = Tensor(0.0)
+                l_lcl = sum(light_consistency_loss(f_ll, f_nl, s.data.shape[2] * s.data.shape[3])
+                            for f_ll, f_nl, s in zip(light_factors(skips_ll, lqm),
+                                                     light_factors(skips_nl, lqm), skips_ll))
             try:
                 l_total = total_loss(l_adv, l_fml, l_rec, l_lcl, cfg.weights)
             except DivergenceError as err:
@@ -606,8 +579,8 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
         model.disc.set_frozen(False)
         dtape = Tape()
         with dtape:
-            real_logits = discriminate(I_nl, model.disc)
-            fake_logits = discriminate(Tensor(I_rec.data.copy()), model.disc)
+            real_logits = model.disc.forward(I_nl)
+            fake_logits = model.disc.forward(Tensor(I_rec.data.copy()))
             objective = adversarial_loss(real_logits, fake_logits, gamma, "discriminator")
             disc_loss = ad.mul(objective, Tensor(-1.0))
         if not np.isfinite(disc_loss.data):
@@ -625,9 +598,9 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
 
 def enhance(image: Tensor, model: Stage2Model, update_usage: bool = False):
     """Single deterministic forward pass of the trained enhancer."""
-    Z, skips = encode(image, model.encoder)
+    Z, skips = model.encoder.forward(image)
     res = quantize_nearest(Z, model.codebook, update_usage=update_usage)
-    out = decode(res.quantized, skips, model.decoder, prompts=model.prompts)
+    out = model.decoder.forward(res.quantized, skips, prompts=model.prompts)
     return out, res
 
 

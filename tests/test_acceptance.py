@@ -21,9 +21,8 @@ from lumiq.cli import run as cli_run, run_gradcheck
 from lumiq.codebook import Codebook, histogram_distance, quantize_nearest, codebook_matching_loss
 from lumiq.data import generate_pairs
 from lumiq.losses import LossWeights, feature_matching_loss, total_loss
-from lumiq.lqm import LightFactor, gram_matrix, light_consistency_loss, lqm_contrastive_loss
+from lumiq.lqm import light_consistency_loss, lqm_contrastive_loss
 from lumiq.metrics import psnr, ssim
-from lumiq.networks import encode
 from lumiq.training import (
     TrainConfig,
     _clone_stage1,
@@ -193,16 +192,13 @@ def test_loss_algebra():
     for _ in range(10):
         d_l, n_l = int(rng.integers(2, 9)), int(rng.integers(1, 20))
         fa, fb = rng.normal(size=d_l), rng.normal(size=d_l)
-        got = light_consistency_loss(LightFactor(Tensor(fa), 0, n_l, d_l),
-                                     LightFactor(Tensor(fb), 0, n_l, d_l)).item()
+        got = light_consistency_loss(Tensor(fa[None]), Tensor(fb[None]), n_l).item()
         expected = np.sum((fa - fb) ** 2) / (4.0 * d_l**2 * n_l**2)
         assert abs(got - expected) < ALGEBRA_TOL
-    f_same = rng.normal(size=5)
-    zero = light_consistency_loss(LightFactor(Tensor(f_same), 0, 3, 5),
-                                  LightFactor(Tensor(f_same.copy()), 0, 3, 5)).item()
+    f_same = rng.normal(size=(1, 5))
+    zero = light_consistency_loss(Tensor(f_same), Tensor(f_same.copy()), 3).item()
     assert zero == 0.0
-    nonzero = light_consistency_loss(LightFactor(Tensor(f_same), 0, 3, 5),
-                                     LightFactor(Tensor(f_same + 1e-8), 0, 3, 5)).item()
+    nonzero = light_consistency_loss(Tensor(f_same), Tensor(f_same + 1e-8), 3).item()
     assert nonzero > 0.0
 
     def cosine_dist(a, b):
@@ -213,8 +209,7 @@ def test_loss_algebra():
         k = int(rng.integers(2, 6))
         vals = [rng.uniform(0.2, 1.0, size=4) * rng.choice([-1.0, 1.0], size=4) for _ in range(k)]
         labels = [int(rng.integers(0, 2)) for _ in range(k)]
-        factors = [(LightFactor(Tensor(v), 0, 2, 4), lab) for v, lab in zip(vals, labels)]
-        got = lqm_contrastive_loss(factors, margin).item()
+        got = lqm_contrastive_loss([(Tensor(v), lab) for v, lab in zip(vals, labels)], margin).item()
         expected = 0.0
         for i in range(k):
             for j in range(i + 1, k):
@@ -227,13 +222,10 @@ def test_loss_algebra():
     # hinge exactness: near-parallel same-label pair and orthogonal
     # different-label pair both contribute exactly zero
     base = np.array([1.0, 2.0, 0.5, -0.3])
-    hinge_zero = lqm_contrastive_loss(
-        [(LightFactor(Tensor(base), 0, 2, 4), 0),
-         (LightFactor(Tensor(base * 3.0), 0, 2, 4), 0)], margin).item()
+    hinge_zero = lqm_contrastive_loss([(Tensor(base), 0), (Tensor(base * 3.0), 0)], margin).item()
     assert hinge_zero == 0.0
-    ortho = lqm_contrastive_loss(
-        [(LightFactor(Tensor(np.array([1.0, 0.0])), 0, 2, 2), 0),
-         (LightFactor(Tensor(np.array([0.0, 1.0])), 0, 2, 2), 1)], margin).item()
+    ortho = lqm_contrastive_loss([(Tensor(np.array([1.0, 0.0])), 0),
+                                  (Tensor(np.array([0.0, 1.0])), 1)], margin).item()
     assert ortho == 0.0
 
     def gram_np(z):
@@ -267,10 +259,10 @@ def test_probability_and_normalization(toy):
     rng = np.random.default_rng(0)
     features = [Tensor(rng.normal(size=(1, int(rng.integers(2, 8)), 5, 5))) for _ in range(10)]
     for pair in toy["held_out"][:3]:
-        _, skips = encode(pair.low, toy["stage2"].encoder)
+        _, skips = toy["stage2"].encoder.forward(pair.low)
         features.extend(Tensor(s.data[:1]) for s in skips)
     for feat in features:
-        G = gram_matrix(feat).values.data
+        G = ad.gram(feat).data[0, 0]
         assert np.abs(G - G.T).max() < 1e-10
         for _ in range(100):
             v = rng.normal(size=G.shape[0])
@@ -314,7 +306,7 @@ def test_code_activation_trend(toy):
     def usage(encoder, model, images):
         model.codebook.reset_usage()
         for image in images:
-            Z, _ = encode(image, encoder)
+            Z, _ = encoder.forward(image)
             quantize_nearest(Z, model.codebook, update_usage=True)
         return model.codebook.usage.copy()
 

@@ -7,48 +7,48 @@ from lumiq import autodiff as ad
 from lumiq.autodiff import ShapeError, Tensor
 from lumiq.lqm import (
     DegenerateFactorError,
-    GramMatrix,
-    LightFactor,
     LqmState,
     cosine_distance,
-    extract_light_factor,
-    gram_matrix,
     light_consistency_loss,
+    light_factors,
     lqm_contrastive_loss,
 )
 
 
-def factor(vals, level=0, n_l=4):
-    vals = np.asarray(vals, dtype=np.float64)
-    return LightFactor(values=Tensor(vals), level=level, n_l=n_l, d_l=vals.size)
+def factor(vals):
+    return Tensor(np.asarray(vals, dtype=np.float64))
+
+
+def gram(F):
+    """(c, c) Gram of one (1, c, h, w) feature map."""
+    return ad.gram(Tensor(F)).data[0, 0]
 
 
 class TestGramMatrix:
     def test_single_channel_sum_of_squares(self):
-        G = gram_matrix(Tensor(np.array([1.0, 2.0, 2.0]).reshape(1, 1, 3)))
-        np.testing.assert_array_equal(G.values.data, [[9.0]])
-        assert G.n_spatial == 3
+        np.testing.assert_array_equal(gram(np.array([1.0, 2.0, 2.0]).reshape(1, 1, 1, 3)), [[9.0]])
 
     def test_orthogonal_channels_give_identity(self):
-        F = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]).reshape(2, 1, 2))
-        G = gram_matrix(F)
-        np.testing.assert_array_equal(G.values.data, np.eye(2))
+        F = np.array([[1.0, 0.0], [0.0, 1.0]]).reshape(1, 2, 1, 2)
+        np.testing.assert_array_equal(gram(F), np.eye(2))
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(0)
-        F = rng.normal(size=(1, 4, 5, 5))
-        G = gram_matrix(Tensor(F))
-        flat = F[0].reshape(4, 25)
-        oracle = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(4):
-                oracle[i, j] = float(np.dot(flat[i], flat[j]))
-        np.testing.assert_allclose(G.values.data, oracle, atol=1e-12)
+        F = rng.normal(size=(3, 4, 5, 5))
+        G = ad.gram(Tensor(F)).data
+        assert G.shape == (3, 1, 4, 4)
+        for n in range(3):
+            flat = F[n].reshape(4, 25)
+            oracle = np.zeros((4, 4))
+            for i in range(4):
+                for j in range(4):
+                    oracle[i, j] = float(np.dot(flat[i], flat[j]))
+            np.testing.assert_allclose(G[n, 0], oracle, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_symmetry_and_psd(self, seed):
         rng = np.random.default_rng(10 + seed)
-        G = gram_matrix(Tensor(rng.normal(size=(6, 7, 7)))).values.data
+        G = gram(rng.normal(size=(1, 6, 7, 7)))
         np.testing.assert_allclose(G, G.T, atol=1e-10)
         for _ in range(100):
             v = rng.normal(size=6)
@@ -56,13 +56,13 @@ class TestGramMatrix:
 
     def test_gradient(self):
         rng = np.random.default_rng(20)
-        F = Tensor(rng.normal(size=(3, 4, 4)))
-        coeff = Tensor(rng.normal(size=(3, 3)))
-        assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(gram_matrix(t).values, coeff)), F) < 1e-4
+        F = Tensor(rng.normal(size=(2, 3, 4, 4)))
+        coeff = Tensor(rng.normal(size=(2, 1, 3, 3)))
+        assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(ad.gram(t), coeff)), F) < 1e-4
 
     def test_bad_shape_raises(self):
         with pytest.raises(ShapeError):
-            gram_matrix(Tensor(np.zeros((2, 3, 4, 4))))  # batch of 2 not allowed
+            ad.gram(Tensor(np.zeros((3, 4, 4))))  # needs a batch axis
 
 
 class TestExtractLightFactor:
@@ -71,36 +71,50 @@ class TestExtractLightFactor:
         for name, p in lqm.named_params():
             if p.data.ndim == 1:
                 p.data[:] = 0.0
-        f = extract_light_factor(GramMatrix(Tensor(np.zeros((4, 4))), n_spatial=16), lqm)
-        np.testing.assert_array_equal(f.values.data, np.zeros(8))
-        assert f.d_l == 8 and f.n_l == 16 and f.level == 0
+        (f,) = light_factors([Tensor(np.zeros((3, 4, 4, 4)))], lqm)
+        np.testing.assert_array_equal(f.data, np.zeros((3, 8)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         lqm = LqmState(np.random.default_rng(2), channel_sizes=[3, 5], d_l=6)
-        G = GramMatrix(Tensor(rng.normal(size=(5, 5))), n_spatial=9)
-        a = extract_light_factor(G, lqm).values.data
-        b = extract_light_factor(G, lqm).values.data
-        np.testing.assert_array_equal(a, b)
-        f = extract_light_factor(G, lqm)
-        assert f.level == 1
+        skips = [Tensor(rng.normal(size=(2, 3, 4, 4))), Tensor(rng.normal(size=(2, 5, 2, 2)))]
+        a = [f.data for f in light_factors(skips, lqm)]
+        b = [f.data for f in light_factors(skips, lqm)]
+        for fa, fb in zip(a, b):
+            np.testing.assert_array_equal(fa, fb)
+        assert [f.shape for f in a] == [(2, 6), (2, 6)]
+
+    def test_rows_match_per_item_oracle(self):
+        rng = np.random.default_rng(15)
+        lqm = LqmState(np.random.default_rng(16), channel_sizes=[3], d_l=5)
+        (first, second), = lqm.layers
+        F = rng.normal(size=(4, 3, 2, 2))
+        (got,) = light_factors([Tensor(F)], lqm)
+        for n in range(4):
+            flat = F[n].reshape(3, 4)
+            g = (flat @ flat.T).reshape(-1)
+            h = first.weight.data.reshape(first.weight.shape[0], -1) @ g + first.bias.data
+            h = np.where(h > 0, h, 0.2 * h)
+            want = second.weight.data.reshape(5, -1) @ h + second.bias.data
+            np.testing.assert_allclose(got.data[n], want, rtol=0, atol=1e-10)
 
     def test_gradient_wrt_gram(self):
         rng = np.random.default_rng(3)
         lqm = LqmState(np.random.default_rng(4), channel_sizes=[3], d_l=5)
-        Gd = rng.normal(size=(3, 3))
-        coeff = Tensor(rng.normal(size=5))
+        coeff = Tensor(rng.normal(size=(2, 5)))
 
         def fn(t):
-            f = extract_light_factor(GramMatrix(t, n_spatial=4), lqm)
-            return ad.sum_all(ad.mul(f.values, coeff))
+            (f,) = light_factors([t], lqm)
+            return ad.sum_all(ad.mul(f, coeff))
 
-        assert ad.check_gradients(fn, Tensor(Gd)) < 1e-4
+        assert ad.check_gradients(fn, Tensor(rng.normal(size=(2, 3, 2, 2)))) < 1e-4
 
     def test_unknown_gram_size_raises(self):
         lqm = LqmState(np.random.default_rng(5), channel_sizes=[4], d_l=8)
         with pytest.raises(ShapeError):
-            extract_light_factor(GramMatrix(Tensor(np.zeros((6, 6))), n_spatial=4), lqm)
+            light_factors([Tensor(np.zeros((1, 6, 2, 2)))], lqm)
+        with pytest.raises(ShapeError):
+            light_factors([Tensor(np.zeros((1, 4, 2, 2)))] * 2, lqm)
 
 
 class TestContrastiveLoss:
@@ -157,12 +171,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(8)
         other = factor(rng.normal(size=4) + 1.0)
         x = Tensor(rng.normal(size=4) + 1.0)
-
-        def fn(t):
-            f = LightFactor(values=t, level=0, n_l=4, d_l=4)
-            return lqm_contrastive_loss([(f, 0), (other, 1)], margin=0.5)
-
-        assert ad.check_gradients(fn, x) < 1e-4
+        assert ad.check_gradients(lambda t: lqm_contrastive_loss([(t, 0), (other, 1)], margin=0.5), x) < 1e-4
 
     def test_cosine_distance_range(self):
         rng = np.random.default_rng(9)
@@ -174,49 +183,40 @@ class TestContrastiveLoss:
 
 class TestConsistencyLoss:
     def test_identical_is_zero(self):
-        f = factor([1.0, -2.0, 3.0])
-        g = factor([1.0, -2.0, 3.0])
-        assert light_consistency_loss(f, g).item() == 0.0
+        f = np.array([[1.0, -2.0, 3.0]])
+        assert light_consistency_loss(Tensor(f), Tensor(f.copy()), 4).item() == 0.0
 
     def test_scalar_case(self):
-        f = LightFactor(values=Tensor(np.array([2.0])), level=0, n_l=1, d_l=1)
-        g = LightFactor(values=Tensor(np.array([0.0])), level=0, n_l=1, d_l=1)
-        assert abs(light_consistency_loss(f, g).item() - 1.0) < 1e-15
+        loss = light_consistency_loss(Tensor(np.array([[2.0]])), Tensor(np.array([[0.0]])), 1)
+        assert abs(loss.item() - 1.0) < 1e-15
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(10)
-        a = rng.normal(size=8)
-        b = rng.normal(size=8)
-        f = LightFactor(values=Tensor(a), level=1, n_l=16, d_l=8)
-        g = LightFactor(values=Tensor(b), level=1, n_l=16, d_l=8)
-        want = ((a - b) ** 2).sum() / (4.0 * 64 * 256)
-        assert abs(light_consistency_loss(f, g).item() - want) < 1e-12
+        a = rng.normal(size=(3, 8))
+        b = rng.normal(size=(3, 8))
+        want = np.mean([((a[n] - b[n]) ** 2).sum() / (4.0 * 64 * 256) for n in range(3)])
+        assert abs(light_consistency_loss(Tensor(a), Tensor(b), 16).item() - want) < 1e-12
 
     def test_symmetric_and_nonnegative(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            f = factor(rng.normal(size=6))
-            g = factor(rng.normal(size=6))
-            lfg = light_consistency_loss(f, g).item()
-            lgf = light_consistency_loss(g, f).item()
+            f = Tensor(rng.normal(size=(2, 6)))
+            g = Tensor(rng.normal(size=(2, 6)))
+            lfg = light_consistency_loss(f, g, 4).item()
+            lgf = light_consistency_loss(g, f, 4).item()
             assert abs(lfg - lgf) < 1e-15
             assert lfg >= 0.0
 
     def test_mismatch_raises(self):
-        f = LightFactor(values=Tensor(np.zeros(4)), level=0, n_l=4, d_l=4)
-        g = LightFactor(values=Tensor(np.zeros(4)), level=0, n_l=9, d_l=4)
         with pytest.raises(ShapeError):
-            light_consistency_loss(f, g)
+            light_consistency_loss(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 5))), 4)
+        with pytest.raises(ShapeError):
+            light_consistency_loss(Tensor(np.zeros(4)), Tensor(np.zeros(4)), 4)
 
     def test_gradient(self):
         rng = np.random.default_rng(12)
-        g = factor(rng.normal(size=5), n_l=4)
-
-        def fn(t):
-            f = LightFactor(values=t, level=0, n_l=4, d_l=5)
-            return light_consistency_loss(f, g)
-
-        assert ad.check_gradients(fn, Tensor(rng.normal(size=5))) < 1e-4
+        g = Tensor(rng.normal(size=(2, 5)))
+        assert ad.check_gradients(lambda t: light_consistency_loss(t, g, 4), Tensor(rng.normal(size=(2, 5)))) < 1e-4
 
 
 class TestFreeze:
@@ -224,12 +224,12 @@ class TestFreeze:
         rng = np.random.default_rng(13)
         lqm = LqmState(np.random.default_rng(14), channel_sizes=[3], d_l=4)
         lqm.set_frozen(True)
-        G = GramMatrix(Tensor(rng.normal(size=(3, 3)), requires_grad=True), n_spatial=4)
+        F = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
         tape = ad.Tape()
         with tape:
-            f = extract_light_factor(G, lqm)
-            loss = ad.sum_all(ad.square(f.values))
+            (f,) = light_factors([F], lqm)
+            loss = ad.sum_all(ad.square(f))
         ad.backward(loss, tape)
         for name, p in lqm.named_params():
             assert p.grad is None, name
-        assert G.values.grad is not None  # input grads still flow
+        assert F.grad is not None  # input grads still flow

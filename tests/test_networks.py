@@ -13,11 +13,6 @@ from lumiq.networks import (
     NetworkConfig,
     ResnetBlock,
     SkipFusion,
-    decode,
-    discriminate,
-    encode,
-    resnet_block,
-    skip_fusion,
 )
 
 
@@ -31,7 +26,7 @@ class TestEncoder:
     def test_shape_contract(self):
         cfg = NetworkConfig(base_channels=4, n_down=3, code_dim=32)
         enc = Encoder(cfg, np.random.default_rng(0))
-        Z, skips = encode(Tensor(np.random.default_rng(1).uniform(size=(1, 3, 32, 32))), enc)
+        Z, skips = enc.forward(Tensor(np.random.default_rng(1).uniform(size=(1, 3, 32, 32))))
         assert Z.data.shape == (1, 32, 4, 4)
         assert len(skips) == 3
         assert [s.data.shape for s in skips] == [(1, 4, 16, 16), (1, 8, 8, 8), (1, 16, 4, 4)]
@@ -41,7 +36,7 @@ class TestEncoder:
         for _, p in enc.named_params():
             if p.data.ndim == 1:
                 p.data[:] = 0.0
-        Z, _ = encode(Tensor(np.zeros((1, 3, 8, 8))), enc)
+        Z, _ = enc.forward(Tensor(np.zeros((1, 3, 8, 8))))
         np.testing.assert_array_equal(Z.data, np.zeros_like(Z.data))
 
     def test_deterministic_replay(self):
@@ -49,19 +44,19 @@ class TestEncoder:
         outs = []
         for _ in range(2):
             enc = Encoder(tiny_cfg(), np.random.default_rng(42))
-            Z, _ = encode(Tensor(x.copy()), enc)
+            Z, _ = enc.forward(Tensor(x.copy()))
             outs.append(Z.data)
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_indivisible_dims_raise(self):
         enc = Encoder(tiny_cfg(), np.random.default_rng(4))
         with pytest.raises(ShapeError):
-            encode(Tensor(np.zeros((1, 3, 10, 8))), enc)
+            enc.forward(Tensor(np.zeros((1, 3, 10, 8))))
 
     def test_wrong_channels_raise(self):
         enc = Encoder(tiny_cfg(), np.random.default_rng(5))
         with pytest.raises(ShapeError):
-            encode(Tensor(np.zeros((1, 1, 8, 8))), enc)
+            enc.forward(Tensor(np.zeros((1, 1, 8, 8))))
 
 
 class TestDecoder:
@@ -71,16 +66,16 @@ class TestDecoder:
         enc = Encoder(cfg, rng)
         dec = Decoder(cfg, rng)
         I = Tensor(rng.uniform(size=(2, 3, 16, 16)))
-        Z, skips = encode(I, enc)
-        out = decode(Z, skips, dec)
+        Z, skips = enc.forward(I)
+        out = dec.forward(Z, skips)
         assert out.data.shape == I.data.shape
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(7)
         cfg = tiny_cfg()
         enc, dec = Encoder(cfg, rng), Decoder(cfg, rng)
-        Z, skips = encode(Tensor(rng.uniform(size=(1, 3, 8, 8))), enc)
-        out = decode(Z, skips, dec)
+        Z, skips = enc.forward(Tensor(rng.uniform(size=(1, 3, 8, 8))))
+        out = dec.forward(Z, skips)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_deterministic_replay(self):
@@ -89,15 +84,15 @@ class TestDecoder:
         for _ in range(2):
             rng = np.random.default_rng(9)
             enc, dec = Encoder(tiny_cfg(), rng), Decoder(tiny_cfg(), rng)
-            Z, skips = encode(Tensor(x.copy()), enc)
-            outs.append(decode(Z, skips, dec).data)
+            Z, skips = enc.forward(Tensor(x.copy()))
+            outs.append(dec.forward(Z, skips).data)
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_skip_count_mismatch_raises(self):
         rng = np.random.default_rng(10)
         dec = Decoder(tiny_cfg(), rng)
         with pytest.raises(ShapeError):
-            decode(Tensor(np.zeros((1, 6, 2, 2))), [Tensor(np.zeros((1, 4, 4, 4)))], dec)
+            dec.forward(Tensor(np.zeros((1, 6, 2, 2))), [Tensor(np.zeros((1, 4, 4, 4)))])
 
     def test_freeze_blocks_gradients(self):
         rng = np.random.default_rng(11)
@@ -108,8 +103,8 @@ class TestDecoder:
         x = Tensor(rng.uniform(size=(1, 3, 8, 8)), requires_grad=True)
         tape = Tape()
         with tape:
-            Z, skips = encode(x, enc)
-            out = decode(Z, skips, dec)
+            Z, skips = enc.forward(x)
+            out = dec.forward(Z, skips)
             loss = ad.mean_all(out)
         ad.backward(loss, tape)
         for (name, p), prev in zip(dec.named_params(), before):
@@ -131,7 +126,7 @@ class TestSkipFusion:
         fusion = SkipFusion(rng, 4)
         F_d = Tensor(rng.normal(size=(2, 4, 5, 5)))
         F_e = Tensor(rng.normal(size=(2, 4, 5, 5)))
-        out = skip_fusion(F_d, F_e, fusion)
+        out = fusion(F_d, F_e)
         np.testing.assert_allclose(out.data, F_d.data, atol=1e-15)
 
     def test_pure_bias(self):
@@ -142,7 +137,7 @@ class TestSkipFusion:
         fusion.conv.bias.data[3:] = 2.5  # beta = 2.5
         F_d = Tensor(rng.normal(size=(1, 3, 4, 4)))
         F_e = Tensor(rng.normal(size=(1, 3, 4, 4)))
-        out = skip_fusion(F_d, F_e, fusion)
+        out = fusion(F_d, F_e)
         np.testing.assert_allclose(out.data, np.full_like(F_d.data, 2.5), atol=1e-15)
 
     def test_matches_direct_oracle(self):
@@ -152,7 +147,7 @@ class TestSkipFusion:
         fusion.conv.bias.data[:] = rng.normal(size=6) * 0.3
         F_d = rng.normal(size=(2, 3, 4, 4))
         F_e = rng.normal(size=(2, 3, 4, 4))
-        out = skip_fusion(Tensor(F_d), Tensor(F_e), fusion)
+        out = fusion(Tensor(F_d), Tensor(F_e))
         cat = np.concatenate([F_d, F_e], axis=1)
         conv = ad.conv2d(Tensor(cat), fusion.conv.weight, fusion.conv.bias, stride=1, pad=1).data
         oracle = conv[:, :3] * F_d + conv[:, 3:]
@@ -164,8 +159,8 @@ class TestSkipFusion:
         fusion.conv.weight.data[:] = rng.normal(size=fusion.conv.weight.data.shape) * 0.3
         F_d = Tensor(rng.normal(size=(1, 2, 4, 4)))
         F_e = Tensor(rng.normal(size=(1, 2, 4, 4)))
-        assert ad.check_gradients(lambda t: ad.mean_all(ad.square(skip_fusion(t, F_e, fusion))), F_d) < 1e-4
-        assert ad.check_gradients(lambda t: ad.mean_all(ad.square(skip_fusion(F_d, t, fusion))), F_e) < 1e-4
+        assert ad.check_gradients(lambda t: ad.mean_all(ad.square(fusion(t, F_e))), F_d) < 1e-4
+        assert ad.check_gradients(lambda t: ad.mean_all(ad.square(fusion(F_d, t))), F_e) < 1e-4
         assert ad.check_gradients(
             lambda t: ad.mean_all(ad.square(ad.add(ad.mul(ad.slice_channels(ad.conv2d(ad.concat_channels(F_d, F_e), t, fusion.conv.bias, 1, 1), 0, 2), F_d), ad.slice_channels(ad.conv2d(ad.concat_channels(F_d, F_e), t, fusion.conv.bias, 1, 1), 2, 4)))),
             fusion.conv.weight,
@@ -174,27 +169,27 @@ class TestSkipFusion:
     def test_shape_mismatch_raises(self):
         fusion = SkipFusion(np.random.default_rng(17), 2)
         with pytest.raises(ShapeError):
-            skip_fusion(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 5, 5))), fusion)
+            fusion(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 5, 5))))
 
 
 class TestDiscriminator:
     def test_logit_map_shape(self):
         disc = Discriminator(tiny_cfg(), np.random.default_rng(18))
-        logits = discriminate(Tensor(np.random.default_rng(19).uniform(size=(1, 3, 32, 32))), disc)
+        logits = disc.forward(Tensor(np.random.default_rng(19).uniform(size=(1, 3, 32, 32))))
         assert logits.data.shape == (1, 1, 8, 8)
 
     def test_zero_params_zero_logits(self):
         disc = Discriminator(tiny_cfg(), np.random.default_rng(20))
         for _, p in disc.named_params():
             p.data[:] = 0.0
-        logits = discriminate(Tensor(np.random.default_rng(21).uniform(size=(1, 3, 8, 8))), disc)
+        logits = disc.forward(Tensor(np.random.default_rng(21).uniform(size=(1, 3, 8, 8))))
         np.testing.assert_array_equal(logits.data, np.zeros_like(logits.data))
 
     def test_gradient_wrt_input(self):
         rng = np.random.default_rng(22)
         disc = Discriminator(tiny_cfg(), rng)
         I = Tensor(rng.uniform(0.1, 0.9, size=(1, 3, 8, 8)))
-        assert ad.check_gradients(lambda t: ad.mean_all(ad.square(discriminate(t, disc))), I) < 1e-4
+        assert ad.check_gradients(lambda t: ad.mean_all(ad.square(disc.forward(t))), I) < 1e-4
 
 
 class TestResnetBlock:
@@ -203,7 +198,7 @@ class TestResnetBlock:
         for _, p in block.named_params("b"):
             p.data[:] = 0.0
         F = Tensor(np.random.default_rng(24).normal(size=(1, 3, 4, 4)))
-        np.testing.assert_array_equal(resnet_block(F, block).data, F.data)
+        np.testing.assert_array_equal(block(F).data, F.data)
 
     def test_linear_configuration_is_homogeneous(self):
         # slope 1 makes the activation the identity; zero biases make the
@@ -213,15 +208,15 @@ class TestResnetBlock:
         block.conv1.bias.data[:] = 0.0
         block.conv2.bias.data[:] = 0.0
         F = rng.normal(size=(1, 2, 4, 4))
-        one = resnet_block(Tensor(F), block).data
-        two = resnet_block(Tensor(2.0 * F), block).data
+        one = block(Tensor(F)).data
+        two = block(Tensor(2.0 * F)).data
         np.testing.assert_allclose(two - 2.0 * one, np.zeros_like(one), atol=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(26)
         block = ResnetBlock(rng, 2)
         F = Tensor(rng.normal(size=(1, 2, 4, 4)))
-        assert ad.check_gradients(lambda t: ad.mean_all(ad.square(resnet_block(t, block))), F) < 1e-4
+        assert ad.check_gradients(lambda t: ad.mean_all(ad.square(block(t))), F) < 1e-4
 
 
 class TestEncoderGradients:
@@ -235,7 +230,7 @@ class TestEncoderGradients:
             saved = enc.downs[0].weight
             enc.downs[0].weight = t
             try:
-                Z, _ = encode(I, enc)
+                Z, _ = enc.forward(I)
                 return ad.mean_all(ad.square(Z))
             finally:
                 enc.downs[0].weight = saved

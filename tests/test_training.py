@@ -186,6 +186,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="bogus_key"):
             load_config(path)
 
+    def test_non_boolean_value_raises(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("use_lqm=yes\n")
+        with pytest.raises(ValueError, match="use_lqm.*'yes'"):
+            load_config(path)
+
+    def test_booleans_accept_any_case(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("use_lqm=FALSE\nuse_lapm=True\nuse_fusion=false\n")
+        cfg = load_config(path)
+        assert (cfg.use_lqm, cfg.use_lapm, cfg.use_fusion) == (False, True, False)
+
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("margin 0.1\n")
@@ -278,6 +290,15 @@ class TestCheckpointing:
         after, _ = enhance(tiny_pairs[0].low, loaded)
         assert np.array_equal(before.data, after.data)
 
+    def test_stage2_roundtrip_restores_component_flags(self, stage1_tiny, tiny_pairs, tmp_path):
+        model, _ = stage1_tiny
+        cfg = tiny_cfg(stage2_iters=1, lqm_warmup=0, use_fusion=False, use_lqm=False)
+        m2, _ = train_enhancer(tiny_pairs, _clone_stage1(model), cfg)
+        path = tmp_path / "s2.ckpt"
+        save_model(m2, path)
+        loaded = load_model(path, tiny_cfg())
+        assert (loaded.cfg.use_fusion, loaded.cfg.use_lqm, loaded.cfg.use_lapm) == (False, False, True)
+
     def test_missing_stage_marker_raises(self, tmp_path):
         from lumiq.checkpoint import save_checkpoint
 
@@ -347,6 +368,25 @@ class TestStage2:
         cfg = tiny_cfg(stage2_iters=4, lqm_warmup=2)
         train_enhancer(tiny_pairs, clone, cfg, step_hook=hook)
         assert seen == {"lqm": 6, "enhancer": 4, "disc": 4}
+
+    @pytest.mark.parametrize("use_lqm, passes", [(True, 3), (False, 2)])
+    def test_encoder_passes_per_iteration(self, stage1_tiny, tiny_pairs, monkeypatch, use_lqm, passes):
+        # one reference pass over I_nl, one tracked pass over I_ll, and with
+        # LQM on one tracked pass over I_nl shared by the LQM update
+        model, _ = stage1_tiny
+        calls = []
+        forward = Encoder.forward
+        monkeypatch.setattr(Encoder, "forward", lambda self, I: calls.append(1) or forward(self, I))
+        per_step = []
+
+        def hook(phase, step, m):
+            if phase == "disc":
+                per_step.append(len(calls))
+                calls.clear()
+
+        cfg = tiny_cfg(stage2_iters=3, lqm_warmup=0, use_lqm=use_lqm)
+        train_enhancer(tiny_pairs, _clone_stage1(model), cfg, step_hook=hook)
+        assert per_step == [passes] * 3
 
     def test_compatibility_mismatch_raises(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
