@@ -7,6 +7,7 @@ curve with additive noise, standing in for real capture pairs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +109,10 @@ def generate_pairs(n: int, size: int, seed: int) -> list[ImagePair]:
     return pairs
 
 
+# whitespace and "#" comments (each to the end of its line) that may precede a PPM header token
+_HEADER_GAP = re.compile(rb"(?:\s|#[^\r\n]*)*")
+
+
 class PpmParseError(ValueError):
     """Malformed PPM input; message carries the byte offset."""
 
@@ -134,8 +139,7 @@ def read_image(path) -> Tensor:
 
     def next_int():
         nonlocal off
-        while off < len(blob) and blob[off : off + 1].isspace():
-            off += 1
+        off = _HEADER_GAP.match(blob, off).end()
         start = off
         while off < len(blob) and blob[off : off + 1].isdigit():
             off += 1

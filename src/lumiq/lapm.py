@@ -53,6 +53,11 @@ class PromptBank:
         )
 
 
+def prompt_patch(side: int) -> int:
+    """Pooling patch used at a site whose feature maps are side pixels high."""
+    return max(side // 4, 1)
+
+
 def prompt_weights(F_e: Tensor, bank: PromptBank, patch: int) -> PromptWeights:
     """Per-patch softmax weights over the bank's prompts.
 
@@ -132,12 +137,9 @@ class PromptPyramid:
         self.max_weight_sum_dev = 0.0
         self.collector: list[PromptWeights] | None = None
 
-    def patch_for(self, h: int) -> int:
-        return max(h // 4, 1)
-
     def apply(self, level: int, F: Tensor, F_e: Tensor) -> Tensor:
         bank = self.banks[level]
-        w = prompt_weights(F_e, bank, self.patch_for(F_e.data.shape[2]))
+        w = prompt_weights(F_e, bank, prompt_patch(F_e.data.shape[2]))
         dev = float(np.abs(w.weights.data.sum(axis=1) - 1.0).max())
         self.max_weight_sum_dev = max(self.max_weight_sum_dev, dev)
         if self.collector is not None:
@@ -150,7 +152,3 @@ class PromptPyramid:
         for lvl, bank in enumerate(self.banks):
             out += bank.named_params(f"{prefix}.level{lvl}")
         return out
-
-    def set_frozen(self, flag: bool) -> None:
-        for _, p in self.named_params():
-            p.requires_grad = not flag

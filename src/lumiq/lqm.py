@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .networks import Conv
+from .networks import Conv, _set_requires
 
 
 class DegenerateFactorError(ValueError):
@@ -39,8 +39,7 @@ class LqmState:
         return out
 
     def set_frozen(self, flag: bool) -> None:
-        for _, p in self.named_params():
-            p.requires_grad = not flag
+        _set_requires(self.named_params(), not flag)
 
 
 def light_factors(skips: list[Tensor], lqm: LqmState) -> list[Tensor]:

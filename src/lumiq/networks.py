@@ -194,9 +194,6 @@ class Decoder:
     def named_params(self, prefix: str = "decoder"):
         return self.core_named_params(prefix) + self.fusion_named_params(prefix)
 
-    def set_frozen(self, flag: bool) -> None:
-        _set_requires(self.named_params(), not flag)
-
     def set_core_frozen(self, flag: bool) -> None:
         _set_requires(self.core_named_params(), not flag)
 

@@ -17,9 +17,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tape, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .codebook import Codebook, QuantizeResult, codebook_matching_loss, quantize_nearest
+from .codebook import Codebook, codebook_matching_loss, quantize_nearest
 from .data import ImagePair
-from .lapm import PromptPyramid
+from .lapm import PromptPyramid, prompt_patch
 from .losses import (
     DivergenceError,
     LossWeights,
@@ -85,6 +85,21 @@ def _step_group(named_params, state: OptimizerState) -> None:
     ad.zero_grads(params)
 
 
+def _disc_step(disc: Discriminator, real: Tensor, fake: Tensor, gamma: float, group,
+               opt: OptimizerState, where: str) -> None:
+    """One discriminator update on real images and detached fakes."""
+    disc.set_frozen(False)
+    tape = Tape()
+    with tape:
+        objective = adversarial_loss(disc.forward(real), disc.forward(ad.stop_gradient(fake)),
+                                     gamma, "discriminator")
+        loss = ad.mul(objective, Tensor(-1.0))
+    if not np.isfinite(loss.data):
+        raise DivergenceError(f"{where}: discriminator loss is not finite")
+    ad.backward(loss, tape)
+    _step_group(group, opt)
+
+
 # ---------------------------------------------------------------------------
 # config
 
@@ -118,6 +133,15 @@ class TrainConfig:
             raise ValueError(f"all config counts must be positive: {self}")
         if self.lqm_warmup < 0 or self.margin < 0 or self.lr <= 0:
             raise ValueError(f"bad config values: {self}")
+        factor = 2 ** self.n_down
+        if self.crop % factor:
+            raise ValueError(f"crop={self.crop} is not a multiple of 2**n_down={factor}")
+        if self.use_lapm:
+            for level in range(self.n_down):
+                side = self.crop // 2 ** (level + 1)
+                if side % prompt_patch(side):
+                    raise ValueError(f"crop={self.crop} gives {side}x{side} features at tap level {level}, "
+                                     f"not divisible by its prompt patch {prompt_patch(side)}")
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(base_channels=self.base_channels, n_down=self.n_down,
@@ -198,6 +222,18 @@ class Stage1Model:
     disc: Discriminator
     cfg: TrainConfig
 
+    @classmethod
+    def build(cls, cfg: TrainConfig, rng: np.random.Generator) -> Stage1Model:
+        """Fresh model; encoder, decoder, codebook and discriminator draw from rng in that order."""
+        netcfg = cfg.network_config()
+        return cls(Encoder(netcfg, rng), Decoder(netcfg, rng), Codebook(cfg.n_codes, cfg.code_dim, rng),
+                   Discriminator(netcfg, rng), cfg)
+
+    def named_params(self):
+        """Every tensor a checkpoint stores, in checkpoint order."""
+        return (self.encoder.named_params() + self.decoder.named_params() + self.disc.named_params()
+                + [("codebook.codes", self.codebook.codes)])
+
 
 @dataclass
 class Stage2Model:
@@ -210,131 +246,117 @@ class Stage2Model:
     prompts: PromptPyramid | None
     cfg: TrainConfig
 
+    def named_params(self):
+        """Every tensor a checkpoint stores, in checkpoint order."""
+        out = (self.encoder.named_params("encoder2") + self.encoder_ref.named_params()
+               + self.decoder.named_params() + self.disc.named_params())
+        if self.lqm is not None:
+            out += self.lqm.named_params()
+        if self.prompts is not None:
+            out += self.prompts.named_params()
+        return out + [("codebook.codes", self.codebook.codes)]
+
+
+def _stage2_model(stage1: Stage1Model, cfg: TrainConfig, rng: np.random.Generator) -> Stage2Model:
+    """Stage-2 model around a stage-1 model's parts, with the stage-2 freezes.
+
+    The low-light encoder starts as a copy of the stage-1 encoder; it is
+    drawn from rng first so the LQM and prompt draws that follow keep
+    their order.
+    """
+    encoder2 = Encoder(cfg.network_config(), rng)
+    for (_, dst), (_, src) in zip(encoder2.named_params(), stage1.encoder.named_params()):
+        dst.data[:] = src.data
+    lqm = LqmState(rng, cfg.tap_channels(), d_l=cfg.d_l) if cfg.use_lqm else None
+    prompts = PromptPyramid(rng, cfg.tap_channels(), n_prompts=cfg.n_prompts) if cfg.use_lapm else None
+    model = Stage2Model(encoder2, stage1.encoder, stage1.decoder, stage1.codebook, stage1.disc,
+                        lqm, prompts, cfg)
+    # permanent freezes: clean-path encoder, codebook, decoder core
+    model.encoder_ref.set_frozen(True)
+    model.codebook.codes.requires_grad = False
+    model.decoder.set_core_frozen(True)
+    for _, p in model.decoder.fusion_named_params():
+        p.requires_grad = cfg.use_fusion
+    return model
+
 
 _CONFIG_KEYS = ("seed", "n_codes", "code_dim", "base_channels", "n_down", "n_prompts", "d_l", "crop")
+# sizes a checkpoint must agree on with the config it is loaded under, per stage
+_CHECKED_KEYS = {1: ("n_codes", "code_dim", "base_channels", "n_down"),
+                 2: ("n_codes", "code_dim", "base_channels", "n_down", "n_prompts", "d_l")}
 
 
-def _config_entries(cfg: TrainConfig) -> dict[str, np.ndarray]:
-    return {f"config/{k}": np.asarray(float(getattr(cfg, k))) for k in _CONFIG_KEYS}
+def _stored_config(entries: dict) -> dict[str, int]:
+    """The config values a checkpoint records, by key."""
+    return {k: int(entries[f"config/{k}"].reshape(())) for k in _CONFIG_KEYS if f"config/{k}" in entries}
 
 
-def _check_config(entries: dict, cfg: TrainConfig, keys) -> None:
-    problems = []
-    for k in keys:
-        stored = entries.get(f"config/{k}")
-        if stored is None:
-            problems.append(f"missing config/{k}")
-        elif int(stored.reshape(())) != int(getattr(cfg, k)):
-            problems.append(f"{k}: checkpoint has {int(stored.reshape(()))}, config wants {getattr(cfg, k)}")
+def _check_sizes(stored: dict[str, int], cfg: TrainConfig, keys, source: str) -> None:
+    """Raise CompatibilityError naming every size in keys that stored lacks or disagrees on."""
+    problems = [f"{k}: {source} has {stored[k]}, config wants {getattr(cfg, k)}" if k in stored
+                else f"{source} missing config/{k}" for k in keys if stored.get(k) != getattr(cfg, k)]
     if problems:
         raise CompatibilityError("; ".join(problems))
 
 
-def _load_group(entries: dict, named_params) -> None:
-    for name, p in named_params:
+def model_entries(model: Stage1Model | Stage2Model) -> dict[str, np.ndarray]:
+    """Checkpoint entries: architecture config, stage marker, parameters, code usage."""
+    stage2 = isinstance(model, Stage2Model)
+    entries = {f"config/{k}": np.asarray(float(getattr(model.cfg, k))) for k in _CONFIG_KEYS}
+    entries["config/stage"] = np.asarray(2.0 if stage2 else 1.0)
+    if stage2:
+        for k in _BOOL_KEYS:
+            entries[f"config/{k}"] = np.asarray(float(getattr(model.cfg, k)))
+    for name, p in model.named_params():
+        entries[name] = p.data
+    entries["codebook.usage"] = model.codebook.usage.astype(np.float64)
+    return entries
+
+
+def _model_from_entries(entries: dict, cfg: TrainConfig, path) -> Stage1Model | Stage2Model:
+    """Rebuild the stage-1 or stage-2 model that path's checkpoint entries describe."""
+    stage = int(entries.get("config/stage", np.asarray(0.0)).reshape(()))
+    if stage not in _CHECKED_KEYS:
+        raise CompatibilityError(f"{path}: unknown or missing stage marker")
+    _check_sizes(_stored_config(entries), cfg, _CHECKED_KEYS[stage], "checkpoint")
+    rng = np.random.default_rng(0)
+    if stage == 1:
+        model = Stage1Model.build(cfg, rng)
+    else:
+        cfg = replace(cfg, **{k: bool(entries.get(f"config/{k}", np.asarray(1.0)).reshape(()))
+                              for k in _BOOL_KEYS})
+        model = _stage2_model(Stage1Model.build(cfg, rng), cfg, rng)
+    for name, p in model.named_params():
         if name not in entries:
             raise CompatibilityError(f"checkpoint missing parameter {name}")
         if entries[name].shape != p.data.shape:
-            raise CompatibilityError(
-                f"{name}: checkpoint shape {entries[name].shape} vs model shape {p.data.shape}"
-            )
+            raise CompatibilityError(f"{name}: checkpoint shape {entries[name].shape} vs model shape {p.data.shape}")
         p.data[:] = entries[name]
-
-
-def stage1_entries(model: Stage1Model) -> dict[str, np.ndarray]:
-    entries = dict(_config_entries(model.cfg))
-    entries["config/stage"] = np.asarray(1.0)
-    for name, p in (model.encoder.named_params() + model.decoder.named_params()
-                    + model.disc.named_params()):
-        entries[name] = p.data
-    entries["codebook.codes"] = model.codebook.codes.data
-    entries["codebook.usage"] = model.codebook.usage.astype(np.float64)
-    return entries
-
-
-def stage1_from_entries(entries: dict, cfg: TrainConfig) -> Stage1Model:
-    _check_config(entries, cfg, ("n_codes", "code_dim", "base_channels", "n_down"))
-    rng = np.random.default_rng(0)
-    netcfg = cfg.network_config()
-    model = Stage1Model(Encoder(netcfg, rng), Decoder(netcfg, rng),
-                        Codebook(cfg.n_codes, cfg.code_dim, rng), Discriminator(netcfg, rng), cfg)
-    _load_group(entries, model.encoder.named_params() + model.decoder.named_params()
-                + model.disc.named_params())
-    _load_group(entries, [("codebook.codes", model.codebook.codes)])
-    model.codebook.usage[:] = entries["codebook.usage"].astype(np.int64)
-    return model
-
-
-def stage2_entries(model: Stage2Model) -> dict[str, np.ndarray]:
-    entries = dict(_config_entries(model.cfg))
-    entries["config/stage"] = np.asarray(2.0)
-    for k in _BOOL_KEYS:
-        entries[f"config/{k}"] = np.asarray(float(getattr(model.cfg, k)))
-    groups = (model.encoder.named_params("encoder2") + model.encoder_ref.named_params()
-              + model.decoder.named_params() + model.disc.named_params())
-    if model.lqm is not None:
-        groups += model.lqm.named_params()
-    if model.prompts is not None:
-        groups += model.prompts.named_params()
-    for name, p in groups:
-        entries[name] = p.data
-    entries["codebook.codes"] = model.codebook.codes.data
-    entries["codebook.usage"] = model.codebook.usage.astype(np.float64)
-    return entries
-
-
-def stage2_from_entries(entries: dict, cfg: TrainConfig) -> Stage2Model:
-    _check_config(entries, cfg, ("n_codes", "code_dim", "base_channels", "n_down", "n_prompts", "d_l"))
-    cfg = replace(cfg, **{k: bool(entries.get(f"config/{k}", np.asarray(1.0)).reshape(()))
-                          for k in _BOOL_KEYS})
-    rng = np.random.default_rng(0)
-    netcfg = cfg.network_config()
-    lqm = LqmState(rng, cfg.tap_channels(), d_l=cfg.d_l) if cfg.use_lqm else None
-    prompts = PromptPyramid(rng, cfg.tap_channels(), n_prompts=cfg.n_prompts) if cfg.use_lapm else None
-    model = Stage2Model(Encoder(netcfg, rng), Encoder(netcfg, rng), Decoder(netcfg, rng),
-                        Codebook(cfg.n_codes, cfg.code_dim, rng), Discriminator(netcfg, rng),
-                        lqm, prompts, cfg)
-    groups = (model.encoder.named_params("encoder2") + model.encoder_ref.named_params()
-              + model.decoder.named_params() + model.disc.named_params())
-    if lqm is not None:
-        groups += lqm.named_params()
-    if prompts is not None:
-        groups += prompts.named_params()
-    _load_group(entries, groups)
-    _load_group(entries, [("codebook.codes", model.codebook.codes)])
     model.codebook.usage[:] = entries["codebook.usage"].astype(np.int64)
     return model
 
 
 def save_model(model, path) -> None:
-    entries = stage1_entries(model) if isinstance(model, Stage1Model) else stage2_entries(model)
-    save_checkpoint(entries, path)
+    save_checkpoint(model_entries(model), path)
 
 
 def load_model(path, cfg: TrainConfig):
-    entries = load_checkpoint(path)
-    stage = int(entries.get("config/stage", np.asarray(0.0)).reshape(()))
-    if stage == 1:
-        return stage1_from_entries(entries, cfg)
-    if stage == 2:
-        return stage2_from_entries(entries, cfg)
-    raise CompatibilityError(f"{path}: unknown or missing stage marker")
+    return _model_from_entries(load_checkpoint(path), cfg, path)
 
 
 def config_from_entries(entries: dict) -> TrainConfig:
     """Rebuild the architectural part of the config stored in a checkpoint."""
-    kw = {}
+    stored = _stored_config(entries)
     for k in _CONFIG_KEYS:
-        stored = entries.get(f"config/{k}")
-        if stored is None:
+        if k not in stored:
             raise CompatibilityError(f"checkpoint missing config/{k}")
-        kw[k] = int(stored.reshape(()))
-    return TrainConfig(**kw)
+    return TrainConfig(**stored)
 
 
 def load_any(path):
     """Load a checkpoint using the config recorded inside it."""
-    return load_model(path, config_from_entries(load_checkpoint(path)))
+    entries = load_checkpoint(path)
+    return _model_from_entries(entries, config_from_entries(entries), path)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +398,7 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
     if not images:
         raise ValueError("pretrain_vqgan needs a non-empty image list")
     rng = np.random.default_rng(cfg.seed)
-    netcfg = cfg.network_config()
-    net_rng = np.random.default_rng(rng.integers(0, 2**31))
-    model = Stage1Model(Encoder(netcfg, net_rng), Decoder(netcfg, net_rng),
-                        Codebook(cfg.n_codes, cfg.code_dim, net_rng),
-                        Discriminator(netcfg, net_rng), cfg)
+    model = Stage1Model.build(cfg, np.random.default_rng(rng.integers(0, 2**31)))
     gen_group = (model.encoder.named_params() + model.decoder.named_params()
                  + [("codebook.codes", model.codebook.codes)])
     disc_group = model.disc.named_params()
@@ -407,18 +425,7 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
                 raise DivergenceError(f"stage 1 step {step}: {err}") from err
         ad.backward(l_total, tape)
         _step_group(gen_group, gen_opt)
-
-        model.disc.set_frozen(False)
-        dtape = Tape()
-        with dtape:
-            real_logits = model.disc.forward(I_h)
-            fake_detached = model.disc.forward(Tensor(I_rec.data.copy()))
-            objective = adversarial_loss(real_logits, fake_detached, gamma, "discriminator")
-            disc_loss = ad.mul(objective, Tensor(-1.0))
-        if not np.isfinite(disc_loss.data):
-            raise DivergenceError(f"stage 1 step {step}: discriminator loss is not finite")
-        ad.backward(disc_loss, dtape)
-        _step_group(disc_group, disc_opt)
+        _disc_step(model.disc, I_h, I_rec, gamma, disc_group, disc_opt, f"stage 1 step {step}")
 
         rows.append((step, l_mae.item(), l_cma.item(), l_adv.item(), l_total.item()))
         if log_hook is not None:
@@ -435,11 +442,6 @@ def reconstruct(image: Tensor, model: Stage1Model, update_usage: bool = False):
 
 # ---------------------------------------------------------------------------
 # stage 2
-
-
-def _copy_params(src_named, dst_named) -> None:
-    for (ns, ps), (nd, pd) in zip(src_named, dst_named):
-        pd.data[:] = ps.data
 
 
 def _lqm_pair_loss(skips_ll: list[Tensor], skips_nl: list[Tensor], lqm: LqmState,
@@ -472,7 +474,7 @@ def _lqm_pair_loss(skips_ll: list[Tensor], skips_nl: list[Tensor], lqm: LqmState
 
 def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig,
                    step_hook=None, log_hook=None):
-    """Stage-2 alternating training.
+    """Stage-2 alternating training of a copy of stage1; stage1 itself is left unchanged.
 
     Per iteration: one tracked encoder pass per input, an LQM update on
     detached copies of its skips, an enhancer update (encoder copy +
@@ -483,30 +485,10 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     """
     if not pairs:
         raise ValueError("train_enhancer needs a non-empty pair list")
-    if stage1.cfg.code_dim != cfg.code_dim or stage1.cfg.n_codes != cfg.n_codes \
-            or stage1.cfg.base_channels != cfg.base_channels or stage1.cfg.n_down != cfg.n_down:
-        raise CompatibilityError(
-            f"stage-1 model sizes (d={stage1.cfg.code_dim}, N={stage1.cfg.n_codes}, "
-            f"base={stage1.cfg.base_channels}, n_down={stage1.cfg.n_down}) do not match config "
-            f"(d={cfg.code_dim}, N={cfg.n_codes}, base={cfg.base_channels}, n_down={cfg.n_down})"
-        )
+    _check_sizes({k: getattr(stage1.cfg, k) for k in _CHECKED_KEYS[1]}, cfg, _CHECKED_KEYS[1], "stage-1 model")
     rng = np.random.default_rng(cfg.seed + 1)
-    netcfg = cfg.network_config()
-    net_rng = np.random.default_rng(rng.integers(0, 2**31))
-
-    encoder2 = Encoder(netcfg, net_rng)
-    _copy_params(stage1.encoder.named_params(), encoder2.named_params())
-    lqm = LqmState(net_rng, cfg.tap_channels(), d_l=cfg.d_l) if cfg.use_lqm else None
-    prompts = PromptPyramid(net_rng, cfg.tap_channels(), n_prompts=cfg.n_prompts) if cfg.use_lapm else None
-    model = Stage2Model(encoder2, stage1.encoder, stage1.decoder, stage1.codebook,
-                        stage1.disc, lqm, prompts, cfg)
-
-    # permanent freezes: clean-path encoder, codebook, decoder core
-    model.encoder_ref.set_frozen(True)
-    model.codebook.codes.requires_grad = False
-    model.decoder.set_core_frozen(True)
-    for _, p in model.decoder.fusion_named_params():
-        p.requires_grad = cfg.use_fusion
+    model = _stage2_model(copy.deepcopy(stage1), cfg, np.random.default_rng(rng.integers(0, 2**31)))
+    lqm, prompts = model.lqm, model.prompts
 
     enhancer_group = model.encoder.named_params("encoder2")
     if cfg.use_fusion:
@@ -575,18 +557,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
         if step_hook is not None:
             step_hook("enhancer", step, model)
 
-        # discriminator update on detached fakes
-        model.disc.set_frozen(False)
-        dtape = Tape()
-        with dtape:
-            real_logits = model.disc.forward(I_nl)
-            fake_logits = model.disc.forward(Tensor(I_rec.data.copy()))
-            objective = adversarial_loss(real_logits, fake_logits, gamma, "discriminator")
-            disc_loss = ad.mul(objective, Tensor(-1.0))
-        if not np.isfinite(disc_loss.data):
-            raise DivergenceError(f"stage 2 step {step}: discriminator loss is not finite")
-        ad.backward(disc_loss, dtape)
-        _step_group(disc_group, disc_opt)
+        _disc_step(model.disc, I_nl, I_rec, gamma, disc_group, disc_opt, f"stage 2 step {step}")
         if step_hook is not None:
             step_hook("disc", step, model)
 
@@ -629,54 +600,35 @@ ABLATION_VARIANTS = [
 ]
 
 
-def run_ablation(stage1: Stage1Model, train_pairs, eval_pairs, cfg: TrainConfig):
-    """Train each component combination from one shared stage-1 model.
+def _sweep(stage1: Stage1Model, train_pairs, eval_pairs, variants) -> list[tuple]:
+    """Train one enhancer per (label, cfg) from the same stage-1 model.
 
-    Returns rows (variant, psnr, ssim).
+    Returns rows (label, psnr, ssim).
     """
     rows = []
-    for name, flags in ABLATION_VARIANTS:
-        variant_cfg = replace(cfg, **flags)
-        model, _ = train_enhancer(train_pairs, _clone_stage1(stage1), variant_cfg)
-        p, s = evaluate_pairs(model, eval_pairs)
-        rows.append((name, p, s))
+    for label, variant_cfg in variants:
+        model, _ = train_enhancer(train_pairs, stage1, variant_cfg)
+        rows.append((label, *evaluate_pairs(model, eval_pairs)))
     return rows
 
 
-def _clone_stage1(model: Stage1Model) -> Stage1Model:
-    """Deep copy so each stage-2 run starts from identical weights."""
-    clone = copy.deepcopy(model)
-    for _, p in (clone.encoder.named_params() + clone.decoder.named_params()
-                 + clone.disc.named_params() + [("c", clone.codebook.codes)]):
-        p.requires_grad = True
-        p.grad = None
-    clone.decoder.set_frozen(False)
-    clone.disc.set_frozen(False)
-    return clone
+def run_ablation(stage1: Stage1Model, train_pairs, eval_pairs, cfg: TrainConfig):
+    """Rows (variant, psnr, ssim), one per component combination."""
+    return _sweep(stage1, train_pairs, eval_pairs,
+                  [(name, replace(cfg, **flags)) for name, flags in ABLATION_VARIANTS])
 
 
 def run_lambda_sweep(stage1: Stage1Model, train_pairs, eval_pairs, cfg: TrainConfig,
                      lambdas=(1.0, 0.5, 0.001)):
     """Rows (lambda, psnr, ssim) for the consistency-weight grid."""
-    rows = []
-    for lam in lambdas:
-        sweep_cfg = replace(cfg, weights=replace(cfg.weights, lambda_lcl=lam))
-        model, _ = train_enhancer(train_pairs, _clone_stage1(stage1), sweep_cfg)
-        p, s = evaluate_pairs(model, eval_pairs)
-        rows.append((lam, p, s))
-    return rows
+    return _sweep(stage1, train_pairs, eval_pairs,
+                  [(lam, replace(cfg, weights=replace(cfg.weights, lambda_lcl=lam))) for lam in lambdas])
 
 
 def run_prompt_sweep(stage1: Stage1Model, train_pairs, eval_pairs, cfg: TrainConfig,
                      counts=(3, 4, 5, 6)):
     """Rows (n_prompts, psnr, ssim) for the prompt-count grid."""
-    rows = []
-    for n in counts:
-        sweep_cfg = replace(cfg, n_prompts=n)
-        model, _ = train_enhancer(train_pairs, _clone_stage1(stage1), sweep_cfg)
-        p, s = evaluate_pairs(model, eval_pairs)
-        rows.append((n, p, s))
-    return rows
+    return _sweep(stage1, train_pairs, eval_pairs, [(n, replace(cfg, n_prompts=n)) for n in counts])
 
 
 def write_stage1_log(rows, path) -> None:

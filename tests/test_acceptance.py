@@ -25,7 +25,6 @@ from lumiq.lqm import light_consistency_loss, lqm_contrastive_loss
 from lumiq.metrics import psnr, ssim
 from lumiq.training import (
     TrainConfig,
-    _clone_stage1,
     enhance,
     evaluate_pairs,
     pretrain_vqgan,
@@ -69,7 +68,7 @@ def toy():
     train_pairs, held_out = pairs[:56], pairs[56:]
     cfg = TrainConfig(seed=11)
     stage1, rows1 = pretrain_vqgan([p.normal for p in train_pairs], cfg)
-    stage2, rows2 = train_enhancer(train_pairs, _clone_stage1(stage1), cfg)
+    stage2, rows2 = train_enhancer(train_pairs, stage1, cfg)
     elapsed = time.monotonic() - started
     return dict(cfg=cfg, train_pairs=train_pairs, held_out=held_out,
                 stage1=stage1, rows1=rows1, stage2=stage2, rows2=rows2,
@@ -79,9 +78,9 @@ def toy():
 @pytest.fixture(scope="session")
 def audited_run(toy):
     """Dedicated 200-step stage-2 run with per-step freeze/alternation audits."""
-    clone = _clone_stage1(toy["stage1"])
-    codes0 = clone.codebook.codes.data.copy()
-    core0 = {name: p.data.copy() for name, p in clone.decoder.core_named_params()}
+    stage1 = toy["stage1"]
+    codes0 = stage1.codebook.codes.data.copy()
+    core0 = {name: p.data.copy() for name, p in stage1.decoder.core_named_params()}
     counts = {"lqm": 0, "enhancer": 0, "disc": 0}
     failures = []
     last = {}
@@ -115,7 +114,7 @@ def audited_run(toy):
         last["lqm"], last["enh"] = lqm_d, enh_d
 
     cfg = TrainConfig(seed=11, stage2_iters=200, lqm_warmup=20)
-    train_enhancer(toy["train_pairs"], clone, cfg, step_hook=audit)
+    train_enhancer(toy["train_pairs"], stage1, cfg, step_hook=audit)
     return dict(counts=counts, failures=failures)
 
 

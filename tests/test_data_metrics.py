@@ -229,6 +229,20 @@ class TestPpm:
         with pytest.raises(PpmParseError, match="byte offset 3"):
             read_image(path)
 
+    def test_header_comments_are_skipped(self, tmp_path):
+        pixels = bytes(range(12))
+        path = tmp_path / "commented.ppm"
+        path.write_bytes(b"P6\n# made by gimp\n2 # width\n2\n#maxval next\n255\n" + pixels)
+        img = read_image(path)
+        expected = np.frombuffer(pixels, dtype=np.uint8).reshape(2, 2, 3).transpose(2, 0, 1) / 255.0
+        np.testing.assert_array_equal(img.data[0], expected)
+
+    def test_comment_only_header_names_offset(self, tmp_path):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(b"P6\n# no size follows\n")
+        with pytest.raises(PpmParseError, match="byte offset 21"):
+            read_image(path)
+
     def test_truncated_pixels_names_offset(self, tmp_path):
         path = tmp_path / "bad.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + b"\x00" * 10)

@@ -279,10 +279,3 @@ class TestPromptPyramid:
         pyramid.apply(0, Tensor(rng.normal(size=(1, 3, 8, 8))), Tensor(rng.normal(size=(1, 3, 8, 8))))
         assert len(pyramid.collector) == 1
         assert pyramid.collector[0].n_prompts == 4
-
-    def test_freeze_excludes_params(self):
-        pyramid = PromptPyramid(np.random.default_rng(27), channel_sizes=[3], n_prompts=2)
-        pyramid.set_frozen(True)
-        assert all(not p.requires_grad for _, p in pyramid.named_params())
-        pyramid.set_frozen(False)
-        assert all(p.requires_grad for _, p in pyramid.named_params())

@@ -98,8 +98,8 @@ class TestDecoder:
         rng = np.random.default_rng(11)
         cfg = tiny_cfg()
         enc, dec = Encoder(cfg, rng), Decoder(cfg, rng)
-        dec.set_frozen(True)
-        before = [p.data.copy() for _, p in dec.named_params()]
+        dec.set_core_frozen(True)
+        before = [p.data.copy() for _, p in dec.core_named_params()]
         x = Tensor(rng.uniform(size=(1, 3, 8, 8)), requires_grad=True)
         tape = Tape()
         with tape:
@@ -107,7 +107,7 @@ class TestDecoder:
             out = dec.forward(Z, skips)
             loss = ad.mean_all(out)
         ad.backward(loss, tape)
-        for (name, p), prev in zip(dec.named_params(), before):
+        for (name, p), prev in zip(dec.core_named_params(), before):
             assert p.grad is None, name
             np.testing.assert_array_equal(p.data, prev)
         assert x.grad is not None and np.any(x.grad != 0.0)  # grads still flow through

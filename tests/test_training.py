@@ -15,7 +15,6 @@ from lumiq.training import (
     Stage2Model,
     TrainConfig,
     adam_step,
-    _clone_stage1,
     enhance,
     evaluate_pairs,
     load_config,
@@ -180,6 +179,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0)
 
+    @pytest.mark.parametrize("crop", [30, 36])
+    def test_rejects_crop_the_network_cannot_use(self, crop):
+        # 30 is not a multiple of 2**n_down; 36 gives 18x18 and 9x9 tap
+        # features, which their prompt patches (4 and 2) do not divide
+        with pytest.raises(ValueError, match=f"crop={crop}"):
+            TrainConfig(crop=crop)
+
+    def test_crop_prompt_rule_applies_only_with_lapm(self):
+        assert TrainConfig(crop=36, use_lapm=False).crop == 36
+        with pytest.raises(ValueError, match="crop=30"):
+            TrainConfig(crop=30, use_lapm=False)
+
     def test_unknown_key_raises(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("margin=0.1\nbogus_key=1\n")
@@ -281,7 +292,7 @@ class TestCheckpointing:
     def test_stage2_roundtrip_preserves_enhance_output(self, stage1_tiny, tiny_pairs, tmp_path):
         model, _ = stage1_tiny
         cfg = tiny_cfg(stage2_iters=4, lqm_warmup=2)
-        m2, _ = train_enhancer(tiny_pairs, _clone_stage1(model), cfg)
+        m2, _ = train_enhancer(tiny_pairs, model, cfg)
         path = tmp_path / "s2.ckpt"
         save_model(m2, path)
         loaded = load_model(path, cfg)
@@ -293,7 +304,7 @@ class TestCheckpointing:
     def test_stage2_roundtrip_restores_component_flags(self, stage1_tiny, tiny_pairs, tmp_path):
         model, _ = stage1_tiny
         cfg = tiny_cfg(stage2_iters=1, lqm_warmup=0, use_fusion=False, use_lqm=False)
-        m2, _ = train_enhancer(tiny_pairs, _clone_stage1(model), cfg)
+        m2, _ = train_enhancer(tiny_pairs, model, cfg)
         path = tmp_path / "s2.ckpt"
         save_model(m2, path)
         loaded = load_model(path, tiny_cfg())
@@ -311,19 +322,34 @@ class TestCheckpointing:
 class TestStage2:
     def test_runs_and_logs(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        m2, rows = train_enhancer(tiny_pairs, _clone_stage1(model), tiny_cfg())
+        m2, rows = train_enhancer(tiny_pairs, model, tiny_cfg())
         assert len(rows) == 8
         for row in rows:
             assert len(row) == 6
             assert all(np.isfinite(v) for v in row[1:])
 
+    def test_stage1_argument_is_left_unchanged(self, stage1_tiny, tiny_pairs):
+        model, _ = stage1_tiny
+        params = (model.encoder.named_params() + model.decoder.named_params()
+                  + model.disc.named_params() + [("codebook.codes", model.codebook.codes)])
+        before = {name: (p.data.copy(), p.requires_grad) for name, p in params}
+        usage_before = model.codebook.usage.copy()
+        cfg = tiny_cfg(stage2_iters=4, lqm_warmup=2)
+        _, r1 = train_enhancer(tiny_pairs, model, cfg)
+        _, r2 = train_enhancer(tiny_pairs, model, cfg)
+        assert r1 == r2
+        for name, p in params:
+            data, flag = before[name]
+            assert np.array_equal(p.data, data), f"{name} changed"
+            assert p.requires_grad == flag, f"{name} requires_grad changed"
+        assert np.array_equal(model.codebook.usage, usage_before)
+
     def test_codebook_and_decoder_core_stay_frozen(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        clone = _clone_stage1(model)
-        codes_before = clone.codebook.codes.data.copy()
-        core_before = snapshot(clone.decoder.core_named_params())
-        fusion_before = snapshot(clone.decoder.fusion_named_params())
-        m2, _ = train_enhancer(tiny_pairs, clone, tiny_cfg())
+        codes_before = model.codebook.codes.data.copy()
+        core_before = snapshot(model.decoder.core_named_params())
+        fusion_before = snapshot(model.decoder.fusion_named_params())
+        m2, _ = train_enhancer(tiny_pairs, model, tiny_cfg())
         assert np.array_equal(codes_before, m2.codebook.codes.data)
         assert_bit_identical(core_before, m2.decoder.core_named_params())
         moved = any(not np.array_equal(fusion_before[n], p.data)
@@ -332,10 +358,9 @@ class TestStage2:
 
     def test_encoder_starts_as_stage1_copy(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        clone = _clone_stage1(model)
         # with a vanishing learning rate the copy stays at its initialization
         cfg = tiny_cfg(stage2_iters=1, lqm_warmup=0, lr=1e-30)
-        m2, _ = train_enhancer(tiny_pairs, clone, cfg)
+        m2, _ = train_enhancer(tiny_pairs, model, cfg)
         assert m2.encoder is not m2.encoder_ref
         for (_, p_ref), (_, p2) in zip(m2.encoder_ref.named_params(),
                                        m2.encoder.named_params("encoder2")):
@@ -343,14 +368,12 @@ class TestStage2:
 
     def test_reference_encoder_untouched(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        clone = _clone_stage1(model)
-        enc_before = snapshot(clone.encoder.named_params())
-        m2, _ = train_enhancer(tiny_pairs, clone, tiny_cfg())
+        enc_before = snapshot(model.encoder.named_params())
+        m2, _ = train_enhancer(tiny_pairs, model, tiny_cfg())
         assert_bit_identical(enc_before, m2.encoder_ref.named_params())
 
     def test_alternation_updates_are_exclusive(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        clone = _clone_stage1(model)
         seen = {"lqm": 0, "enhancer": 0, "disc": 0}
         state = {}
 
@@ -366,7 +389,7 @@ class TestStage2:
             state["lqm"], state["enh"] = lqm_now, enh_now
 
         cfg = tiny_cfg(stage2_iters=4, lqm_warmup=2)
-        train_enhancer(tiny_pairs, clone, cfg, step_hook=hook)
+        train_enhancer(tiny_pairs, model, cfg, step_hook=hook)
         assert seen == {"lqm": 6, "enhancer": 4, "disc": 4}
 
     @pytest.mark.parametrize("use_lqm, passes", [(True, 3), (False, 2)])
@@ -385,19 +408,19 @@ class TestStage2:
                 calls.clear()
 
         cfg = tiny_cfg(stage2_iters=3, lqm_warmup=0, use_lqm=use_lqm)
-        train_enhancer(tiny_pairs, _clone_stage1(model), cfg, step_hook=hook)
+        train_enhancer(tiny_pairs, model, cfg, step_hook=hook)
         assert per_step == [passes] * 3
 
     def test_compatibility_mismatch_raises(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
         with pytest.raises(CompatibilityError):
-            train_enhancer(tiny_pairs, _clone_stage1(model), tiny_cfg(n_codes=32))
+            train_enhancer(tiny_pairs, model, tiny_cfg(n_codes=32))
         with pytest.raises(CompatibilityError):
-            train_enhancer(tiny_pairs, _clone_stage1(model), tiny_cfg(code_dim=16))
+            train_enhancer(tiny_pairs, model, tiny_cfg(code_dim=16))
 
     def test_enhance_deterministic_and_bounded(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        m2, _ = train_enhancer(tiny_pairs, _clone_stage1(model), tiny_cfg(stage2_iters=4))
+        m2, _ = train_enhancer(tiny_pairs, model, tiny_cfg(stage2_iters=4))
         out1, res1 = enhance(tiny_pairs[0].low, m2)
         out2, res2 = enhance(tiny_pairs[0].low, m2)
         assert np.array_equal(out1.data, out2.data)
@@ -407,10 +430,9 @@ class TestStage2:
 
     def test_baseline_variant_disables_components(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        clone = _clone_stage1(model)
-        fusion_before = snapshot(clone.decoder.fusion_named_params())
+        fusion_before = snapshot(model.decoder.fusion_named_params())
         cfg = tiny_cfg(stage2_iters=4, use_fusion=False, use_lqm=False, use_lapm=False)
-        m2, rows = train_enhancer(tiny_pairs, clone, cfg)
+        m2, rows = train_enhancer(tiny_pairs, model, cfg)
         assert m2.lqm is None and m2.prompts is None
         assert_bit_identical(fusion_before, m2.decoder.fusion_named_params())
         assert all(row[4] == 0.0 for row in rows), "consistency column should be zero"
@@ -421,13 +443,13 @@ class TestStage2:
         normal = synth_scene(0, 16, 16)
         bad_pair = ImagePair(low=nan_low, normal=normal, scene_id=0)
         with pytest.raises(DivergenceError, match="step"):
-            train_enhancer([bad_pair], _clone_stage1(model), tiny_cfg(use_lqm=False))
+            train_enhancer([bad_pair], model, tiny_cfg(use_lqm=False))
 
     def test_determinism(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
         cfg = tiny_cfg(stage2_iters=4)
-        m1, r1 = train_enhancer(tiny_pairs, _clone_stage1(model), cfg)
-        m2, r2 = train_enhancer(tiny_pairs, _clone_stage1(model), cfg)
+        m1, r1 = train_enhancer(tiny_pairs, model, cfg)
+        m2, r2 = train_enhancer(tiny_pairs, model, cfg)
         assert r1 == r2
         o1, _ = enhance(tiny_pairs[0].low, m1)
         o2, _ = enhance(tiny_pairs[0].low, m2)
@@ -435,7 +457,7 @@ class TestStage2:
 
     def test_log_writer_layout(self, stage1_tiny, tiny_pairs, tmp_path):
         model, _ = stage1_tiny
-        _, rows = train_enhancer(tiny_pairs, _clone_stage1(model), tiny_cfg(stage2_iters=2))
+        _, rows = train_enhancer(tiny_pairs, model, tiny_cfg(stage2_iters=2))
         path = tmp_path / "stage2.csv"
         write_stage2_log(rows, path)
         lines = path.read_text().strip().split("\n")
@@ -446,7 +468,7 @@ class TestStage2:
 class TestHarnesses:
     def test_evaluate_pairs(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        m2, _ = train_enhancer(tiny_pairs, _clone_stage1(model), tiny_cfg(stage2_iters=2))
+        m2, _ = train_enhancer(tiny_pairs, model, tiny_cfg(stage2_iters=2))
         p, s = evaluate_pairs(m2, tiny_pairs[:2])
         assert np.isfinite(p) and -1.0 <= s <= 1.0
 
