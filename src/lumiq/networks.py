@@ -31,6 +31,10 @@ class NetworkConfig:
         if min(self.base_channels, self.code_dim, self.image_channels) < 1:
             raise ValueError("channel counts must be positive")
 
+    def tap_sides(self, side: int) -> list[int]:
+        """Side of the encoder's skip feature at each tap for a side x side input."""
+        return [side // 2 ** (i + 1) for i in range(self.n_down)]
+
 
 class Conv:
     """3x3 (or kxk) conv layer with fan-in-scaled uniform init."""
@@ -186,10 +190,7 @@ class Decoder:
         return out
 
     def fusion_named_params(self, prefix: str = "decoder"):
-        out = []
-        for j in range(self.cfg.n_down):
-            out += self.fusions[j].named_params(f"{prefix}.fusion{j}")
-        return out
+        return [item for j, fusion in enumerate(self.fusions) for item in fusion.named_params(f"{prefix}.fusion{j}")]
 
     def named_params(self, prefix: str = "decoder"):
         return self.core_named_params(prefix) + self.fusion_named_params(prefix)

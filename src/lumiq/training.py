@@ -137,8 +137,7 @@ class TrainConfig:
         if self.crop % factor:
             raise ValueError(f"crop={self.crop} is not a multiple of 2**n_down={factor}")
         if self.use_lapm:
-            for level in range(self.n_down):
-                side = self.crop // 2 ** (level + 1)
+            for level, side in enumerate(self.network_config().tap_sides(self.crop)):
                 if side % prompt_patch(side):
                     raise ValueError(f"crop={self.crop} gives {side}x{side} features at tap level {level}, "
                                      f"not divisible by its prompt patch {prompt_patch(side)}")
@@ -152,19 +151,14 @@ class TrainConfig:
 
 
 _BOOL_KEYS = ("use_fusion", "use_lqm", "use_lapm")
-_FLOAT_KEYS = ("margin", "lr", "sigma", "gamma", "lambda_lcl")
+_WEIGHT_KEYS = ("sigma", "gamma", "lambda_lcl")
+_FLOAT_KEYS = ("margin", "lr") + _WEIGHT_KEYS
 
 
 def fields_of_config_file(cfg: TrainConfig) -> list[tuple[str, object]]:
     """(key, value) pairs in the order the config file uses."""
-    out = []
-    for f in fields(cfg):
-        if f.name == "weights":
-            continue
-        out.append((f.name, getattr(cfg, f.name)))
-    for key in ("sigma", "gamma", "lambda_lcl"):
-        out.append((key, getattr(cfg.weights, key)))
-    return out
+    return ([(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name != "weights"]
+            + [(key, getattr(cfg.weights, key)) for key in _WEIGHT_KEYS])
 
 
 def save_config(cfg: TrainConfig, path) -> None:
@@ -195,7 +189,7 @@ def load_config(path) -> TrainConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, val = line.split("=", 1)
             key, val = key.strip(), val.strip()
-            if key in ("sigma", "gamma", "lambda_lcl"):
+            if key in _WEIGHT_KEYS:
                 weight_kw[key] = float(val)
             elif key in _BOOL_KEYS:
                 if val.lower() not in ("true", "false"):
@@ -291,6 +285,18 @@ def _stored_config(entries: dict) -> dict[str, int]:
     return {k: int(entries[f"config/{k}"].reshape(())) for k in _CONFIG_KEYS if f"config/{k}" in entries}
 
 
+def _stored_stage(entries: dict) -> int:
+    """The stage marker a checkpoint records; 0 when it has none."""
+    return int(entries.get("config/stage", np.asarray(0.0)).reshape(()))
+
+
+def _stored_flags(entries: dict) -> dict[str, bool]:
+    """use_* flags a checkpoint records; a missing one reads as on in stage 2 and as off in
+    stage 1, which has no prompts, so its crop is not held to the prompt-patch rule."""
+    default = np.asarray(float(_stored_stage(entries) == 2))
+    return {k: bool(entries.get(f"config/{k}", default).reshape(())) for k in _BOOL_KEYS}
+
+
 def _check_sizes(stored: dict[str, int], cfg: TrainConfig, keys, source: str) -> None:
     """Raise CompatibilityError naming every size in keys that stored lacks or disagrees on."""
     problems = [f"{k}: {source} has {stored[k]}, config wants {getattr(cfg, k)}" if k in stored
@@ -304,9 +310,7 @@ def model_entries(model: Stage1Model | Stage2Model) -> dict[str, np.ndarray]:
     stage2 = isinstance(model, Stage2Model)
     entries = {f"config/{k}": np.asarray(float(getattr(model.cfg, k))) for k in _CONFIG_KEYS}
     entries["config/stage"] = np.asarray(2.0 if stage2 else 1.0)
-    if stage2:
-        for k in _BOOL_KEYS:
-            entries[f"config/{k}"] = np.asarray(float(getattr(model.cfg, k)))
+    entries.update({f"config/{k}": np.asarray(float(getattr(model.cfg, k))) for k in _BOOL_KEYS if stage2})
     for name, p in model.named_params():
         entries[name] = p.data
     entries["codebook.usage"] = model.codebook.usage.astype(np.float64)
@@ -315,16 +319,16 @@ def model_entries(model: Stage1Model | Stage2Model) -> dict[str, np.ndarray]:
 
 def _model_from_entries(entries: dict, cfg: TrainConfig, path) -> Stage1Model | Stage2Model:
     """Rebuild the stage-1 or stage-2 model that path's checkpoint entries describe."""
-    stage = int(entries.get("config/stage", np.asarray(0.0)).reshape(()))
+    stage = _stored_stage(entries)
     if stage not in _CHECKED_KEYS:
         raise CompatibilityError(f"{path}: unknown or missing stage marker")
-    _check_sizes(_stored_config(entries), cfg, _CHECKED_KEYS[stage], "checkpoint")
+    stored = _stored_config(entries)
+    _check_sizes(stored, cfg, _CHECKED_KEYS[stage], "checkpoint")
     rng = np.random.default_rng(0)
     if stage == 1:
         model = Stage1Model.build(cfg, rng)
     else:
-        cfg = replace(cfg, **{k: bool(entries.get(f"config/{k}", np.asarray(1.0)).reshape(()))
-                              for k in _BOOL_KEYS})
+        cfg = replace(cfg, crop=stored.get("crop", cfg.crop), **_stored_flags(entries))
         model = _stage2_model(Stage1Model.build(cfg, rng), cfg, rng)
     for name, p in model.named_params():
         if name not in entries:
@@ -350,7 +354,7 @@ def config_from_entries(entries: dict) -> TrainConfig:
     for k in _CONFIG_KEYS:
         if k not in stored:
             raise CompatibilityError(f"checkpoint missing config/{k}")
-    return TrainConfig(**stored)
+    return TrainConfig(**stored, **_stored_flags(entries))
 
 
 def load_any(path):
@@ -486,15 +490,14 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     if not pairs:
         raise ValueError("train_enhancer needs a non-empty pair list")
     _check_sizes({k: getattr(stage1.cfg, k) for k in _CHECKED_KEYS[1]}, cfg, _CHECKED_KEYS[1], "stage-1 model")
+    step_hook = step_hook or (lambda phase, step, model: None)
     rng = np.random.default_rng(cfg.seed + 1)
     model = _stage2_model(copy.deepcopy(stage1), cfg, np.random.default_rng(rng.integers(0, 2**31)))
     lqm, prompts = model.lqm, model.prompts
 
-    enhancer_group = model.encoder.named_params("encoder2")
-    if cfg.use_fusion:
-        enhancer_group = enhancer_group + model.decoder.fusion_named_params()
-    if prompts is not None:
-        enhancer_group = enhancer_group + prompts.named_params()
+    enhancer_group = (model.encoder.named_params("encoder2")
+                      + (model.decoder.fusion_named_params() if cfg.use_fusion else [])
+                      + (prompts.named_params() if prompts is not None else []))
     disc_group = model.disc.named_params()
     enh_opt = OptimizerState([p for _, p in enhancer_group], lr=cfg.lr)
     disc_opt = OptimizerState([p for _, p in disc_group], lr=cfg.lr)
@@ -514,8 +517,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
         ad.backward(loss, tape)
         _step_group(lqm.named_params(), lqm_opt)
         lqm.set_frozen(True)
-        if step_hook is not None:
-            step_hook("lqm", step, model)
+        step_hook("lqm", step, model)
 
     total_warmup = cfg.lqm_warmup if lqm else 0
     for w in range(total_warmup):
@@ -554,12 +556,10 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
                 raise DivergenceError(f"stage 2 step {step}: {err}") from err
         ad.backward(l_total, tape)
         _step_group(enhancer_group, enh_opt)
-        if step_hook is not None:
-            step_hook("enhancer", step, model)
+        step_hook("enhancer", step, model)
 
         _disc_step(model.disc, I_nl, I_rec, gamma, disc_group, disc_opt, f"stage 2 step {step}")
-        if step_hook is not None:
-            step_hook("disc", step, model)
+        step_hook("disc", step, model)
 
         rows.append((step, l_adv.item(), l_fml.item(), l_rec.item(), l_lcl.item(), l_total.item()))
         if log_hook is not None:
@@ -601,10 +601,7 @@ ABLATION_VARIANTS = [
 
 
 def _sweep(stage1: Stage1Model, train_pairs, eval_pairs, variants) -> list[tuple]:
-    """Train one enhancer per (label, cfg) from the same stage-1 model.
-
-    Returns rows (label, psnr, ssim).
-    """
+    """Rows (label, psnr, ssim), training one enhancer per (label, cfg) from stage1."""
     rows = []
     for label, variant_cfg in variants:
         model, _ = train_enhancer(train_pairs, stage1, variant_cfg)

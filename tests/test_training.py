@@ -17,8 +17,10 @@ from lumiq.training import (
     adam_step,
     enhance,
     evaluate_pairs,
+    load_any,
     load_config,
     load_model,
+    model_entries,
     pretrain_vqgan,
     reconstruct,
     run_lambda_sweep,
@@ -309,6 +311,22 @@ class TestCheckpointing:
         save_model(m2, path)
         loaded = load_model(path, tiny_cfg())
         assert (loaded.cfg.use_fusion, loaded.cfg.use_lqm, loaded.cfg.use_lapm) == (False, False, True)
+
+    def test_load_any_accepts_crop_valid_only_without_prompts(self, tmp_path):
+        # crop=36 suits the encoder but not the prompt patches; neither a
+        # stage-1 checkpoint (no prompts) nor a stage-2 one trained with
+        # use_lapm off may be refused on load for it
+        cfg = tiny_cfg(crop=36, use_lapm=False, stage1_iters=1, stage2_iters=1, lqm_warmup=0)
+        s1, _ = pretrain_vqgan([synth_scene(s, 36, 36) for s in range(2)], cfg)
+        s2, _ = train_enhancer(generate_pairs(2, 36, seed=5), s1, cfg)
+        for name, model in (("s1.ckpt", s1), ("s2.ckpt", s2)):
+            save_model(model, tmp_path / name)
+            loaded = load_any(tmp_path / name)
+            assert type(loaded) is type(model)
+            before, after = model_entries(model), model_entries(loaded)
+            assert before.keys() == after.keys()
+            for key in before:
+                assert np.array_equal(before[key], after[key]), key
 
     def test_missing_stage_marker_raises(self, tmp_path):
         from lumiq.checkpoint import save_checkpoint

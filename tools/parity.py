@@ -45,8 +45,7 @@ with open(out + "/rows.json", "w") as fh:
 def run_tree(tree: Path, out: Path) -> dict:
     """Run the fixed training in tree's src/, writing into out; returns the loss rows."""
     out.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               LUMIQ_LOG_LEVEL="quiet")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     subprocess.run([sys.executable, "-c", RUN, str(out)], env=env, cwd=tree, check=True)
     with open(out / "rows.json") as fh:
         return json.load(fh)
