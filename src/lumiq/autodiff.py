@@ -48,39 +48,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __neg__(self):
-        return mul(self, _wrap(-1.0))
-
-
-def _wrap(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64))
-
 
 class Tape:
     """Ordered record of executed ops for one forward pass."""
@@ -117,33 +84,31 @@ def _result(data, inputs) -> Tensor:
     return Tensor(data, requires_grad=needs)
 
 
+def _accumulate(t: Tensor, dg: np.ndarray) -> None:
+    """Add dg into t's grad, allocating it on the first write with t.data's
+    memory layout (later products and reductions over it round by layout)."""
+    if t.grad is None:
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = dg
+    else:
+        t.grad += dg
+
+
 def backward(loss: Tensor, tape: Tape) -> None:
     """Replay the tape in reverse, accumulating gradients additively.
 
-    Every requires_grad tensor that participated in the recorded forward
-    ends up with a grad array; those off the path from loss keep zeros.
+    A tensor gets a grad array on the first gradient written to it; one
+    that no gradient reaches keeps grad None (grad_array reads it as zeros).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    seen: set[int] = set()
-    for out, inputs, _ in tape._records:
-        for t in (out, *inputs):
-            if t is not None and t.requires_grad and id(t) not in seen:
-                seen.add(id(t))
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad = loss.grad + np.ones_like(loss.data)
+    _accumulate(loss, np.ones_like(loss.data))
     for out, inputs, grad_fn in reversed(tape._records):
-        g = out.grad
-        if g is None or not np.any(g):
+        if out.grad is None:
             continue
-        grads = grad_fn(g)
-        for t, dg in zip(inputs, grads):
-            if t is None or dg is None or not t.requires_grad:
-                continue
-            t.grad += dg
+        for t, dg in zip(inputs, grad_fn(out.grad)):
+            if t is not None and dg is not None and t.requires_grad:
+                _accumulate(t, dg)
 
 
 def zero_grads(tensors) -> None:
@@ -176,7 +141,6 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     _check_broadcast(a, b, "add")
     out = _result(a.data + b.data, (a, b))
     record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
@@ -184,7 +148,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     _check_broadcast(a, b, "sub")
     out = _result(a.data - b.data, (a, b))
     record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
@@ -192,7 +155,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     _check_broadcast(a, b, "mul")
     out = _result(a.data * b.data, (a, b))
 
@@ -206,7 +168,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
     _check_broadcast(a, b, "div")
     out = _result(a.data / b.data, (a, b))
 

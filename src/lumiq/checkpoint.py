@@ -7,6 +7,8 @@ All integers and floats little-endian.  Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -19,18 +21,26 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(entries: dict[str, np.ndarray], path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(entries)))
-        for name, arr in entries.items():
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(arr.tobytes())
+    """Write via path.tmp and os.replace, so a failed save leaves no temp file and an existing file unchanged."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(entries)))
+            for name, arr in entries.items():
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                raw = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<B", arr.ndim))
+                for d in arr.shape:
+                    fh.write(struct.pack("<I", d))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

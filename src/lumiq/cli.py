@@ -113,23 +113,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> TrainConfig:
-    cfg = load_config(args.config) if args.config else TrainConfig()
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "iters", None) is not None:
-        key = "stage1_iters" if args.command == "pretrain" else "stage2_iters"
-        updates[key] = args.iters
-    if getattr(args, "codebook_size", None) is not None:
-        updates["n_codes"] = args.codebook_size
-    if getattr(args, "prompts", None) is not None:
-        updates["n_prompts"] = args.prompts
-    weights = cfg.weights
-    if getattr(args, "lambda_lcl", None) is not None:
-        weights = replace(weights, lambda_lcl=args.lambda_lcl)
-    if getattr(args, "margin", None) is not None:
-        updates["margin"] = args.margin
-    return replace(cfg, weights=weights, **updates)
+    """Config file (or defaults) plus flag overrides; an invalid result is a UsageError."""
+    try:
+        cfg = load_config(args.config) if args.config else TrainConfig()
+        updates = {}
+        if args.seed is not None:
+            updates["seed"] = args.seed
+        if getattr(args, "iters", None) is not None:
+            key = "stage1_iters" if args.command == "pretrain" else "stage2_iters"
+            updates[key] = args.iters
+        if getattr(args, "codebook_size", None) is not None:
+            updates["n_codes"] = args.codebook_size
+        if getattr(args, "prompts", None) is not None:
+            updates["n_prompts"] = args.prompts
+        weights = cfg.weights
+        if getattr(args, "lambda_lcl", None) is not None:
+            weights = replace(weights, lambda_lcl=args.lambda_lcl)
+        if getattr(args, "margin", None) is not None:
+            updates["margin"] = args.margin
+        return replace(cfg, weights=weights, **updates)
+    except ValueError as err:
+        raise UsageError(str(err)) from err
 
 
 def print_resolved(args, cfg: TrainConfig) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .networks import Conv
+from .networks import Conv, set_trainable
 
 
 class DivergenceError(RuntimeError):
@@ -87,8 +87,7 @@ class PerceptualExtractor:
             Conv(rng, 16, 32, 3, stride=2),
         ]
         for conv in self.convs:
-            conv.weight.requires_grad = False
-            conv.bias.requires_grad = False
+            set_trainable(conv.named_params("conv"), False)
 
     def features(self, I: Tensor) -> list[Tensor]:
         feats = []

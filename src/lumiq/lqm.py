@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .networks import Conv, _set_requires
+from .networks import Conv
 
 
 class DegenerateFactorError(ValueError):
@@ -37,9 +37,6 @@ class LqmState:
             out += first.named_params(f"{prefix}.level{lvl}.affine1")
             out += second.named_params(f"{prefix}.level{lvl}.affine2")
         return out
-
-    def set_frozen(self, flag: bool) -> None:
-        _set_requires(self.named_params(), not flag)
 
 
 def light_factors(skips: list[Tensor], lqm: LqmState) -> list[Tensor]:

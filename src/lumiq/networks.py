@@ -31,6 +31,10 @@ class NetworkConfig:
         if min(self.base_channels, self.code_dim, self.image_channels) < 1:
             raise ValueError("channel counts must be positive")
 
+    def tap_channels(self) -> list[int]:
+        """Channels of the encoder's skip feature at each tap."""
+        return [self.base_channels * 2 ** i for i in range(self.n_down)]
+
     def tap_sides(self, side: int) -> list[int]:
         """Side of the encoder's skip feature at each tap for a side x side input."""
         return [side // 2 ** (i + 1) for i in range(self.n_down)]
@@ -96,8 +100,9 @@ class SkipFusion:
         return self.conv.named_params(f"{prefix}.conv")
 
 
-def _set_requires(params, flag: bool) -> None:
-    for _, t in params:
+def set_trainable(named_params, flag: bool) -> None:
+    """Set requires_grad on every tensor of a (name, tensor) list; the one way to freeze."""
+    for _, t in named_params:
         t.requires_grad = flag
 
 
@@ -110,8 +115,7 @@ class Encoder:
         self.downs: list[Conv] = []
         self.blocks: list[ResnetBlock] = []
         c_in = cfg.image_channels
-        for i in range(cfg.n_down):
-            c_out = cfg.base_channels * (2 ** i)
+        for c_out in cfg.tap_channels():
             self.downs.append(Conv(rng, c_in, c_out, 3, stride=2))
             self.blocks.append(ResnetBlock(rng, c_out, cfg.negative_slope))
             c_in = c_out
@@ -139,9 +143,6 @@ class Encoder:
         out += self.to_code.named_params(f"{prefix}.to_code")
         return out
 
-    def set_frozen(self, flag: bool) -> None:
-        _set_requires(self.named_params(), not flag)
-
 
 class Decoder:
     """Mirror of the encoder with skip fusion at every stage.
@@ -153,14 +154,13 @@ class Decoder:
 
     def __init__(self, cfg: NetworkConfig, rng: np.random.Generator):
         self.cfg = cfg
-        deepest = cfg.base_channels * (2 ** (cfg.n_down - 1))
-        self.from_code = Conv(rng, cfg.code_dim, deepest, 3)
+        chans = cfg.tap_channels()
+        self.from_code = Conv(rng, cfg.code_dim, chans[-1], 3)
         self.fusions: list[SkipFusion] = []
         self.blocks: list[ResnetBlock] = []
         self.ups: list[Conv] = []
-        for j in range(cfg.n_down):
-            ch = cfg.base_channels * (2 ** j)
-            ch_next = cfg.base_channels * (2 ** (j - 1)) if j > 0 else cfg.base_channels
+        for j, ch in enumerate(chans):
+            ch_next = chans[max(j - 1, 0)]
             self.fusions.append(SkipFusion(rng, ch))
             self.blocks.append(ResnetBlock(rng, ch, cfg.negative_slope))
             self.ups.append(Conv(rng, ch, ch_next, 3))
@@ -195,9 +195,6 @@ class Decoder:
     def named_params(self, prefix: str = "decoder"):
         return self.core_named_params(prefix) + self.fusion_named_params(prefix)
 
-    def set_core_frozen(self, flag: bool) -> None:
-        _set_requires(self.core_named_params(), not flag)
-
 
 class Discriminator:
     """3-layer strided patch discriminator emitting a logit map."""
@@ -221,6 +218,3 @@ class Discriminator:
             + self.conv2.named_params(f"{prefix}.conv2")
             + self.conv3.named_params(f"{prefix}.conv3")
         )
-
-    def set_frozen(self, flag: bool) -> None:
-        _set_requires(self.named_params(), not flag)

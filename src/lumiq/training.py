@@ -33,7 +33,7 @@ from .losses import (
     write_loss_csv,
 )
 from .lqm import LqmState, light_consistency_loss, light_factors, lqm_contrastive_loss
-from .networks import Decoder, Discriminator, Encoder, NetworkConfig
+from .networks import Decoder, Discriminator, Encoder, NetworkConfig, set_trainable
 
 
 class CompatibilityError(RuntimeError):
@@ -88,7 +88,7 @@ def _step_group(named_params, state: OptimizerState) -> None:
 def _disc_step(disc: Discriminator, real: Tensor, fake: Tensor, gamma: float, group,
                opt: OptimizerState, where: str) -> None:
     """One discriminator update on real images and detached fakes."""
-    disc.set_frozen(False)
+    set_trainable(group, True)
     tape = Tape()
     with tape:
         objective = adversarial_loss(disc.forward(real), disc.forward(ad.stop_gradient(fake)),
@@ -146,9 +146,6 @@ class TrainConfig:
         return NetworkConfig(base_channels=self.base_channels, n_down=self.n_down,
                              code_dim=self.code_dim)
 
-    def tap_channels(self) -> list[int]:
-        return [self.base_channels * (2 ** i) for i in range(self.n_down)]
-
 
 _BOOL_KEYS = ("use_fusion", "use_lqm", "use_lapm")
 _WEIGHT_KEYS = ("sigma", "gamma", "lambda_lcl")
@@ -189,18 +186,20 @@ def load_config(path) -> TrainConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, val = line.split("=", 1)
             key, val = key.strip(), val.strip()
-            if key in _WEIGHT_KEYS:
-                weight_kw[key] = float(val)
-            elif key in _BOOL_KEYS:
+            if key in _BOOL_KEYS:
                 if val.lower() not in ("true", "false"):
                     raise ValueError(f"{path}:{lineno}: {key} must be true or false, got {val!r}")
                 cfg_kw[key] = val.lower() == "true"
-            elif key in _FLOAT_KEYS:
-                cfg_kw[key] = float(val)
-            elif key in int_keys:
-                cfg_kw[key] = int(val)
-            else:
+                continue
+            if key not in _FLOAT_KEYS and key not in int_keys:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            kind = float if key in _FLOAT_KEYS else int
+            try:
+                number = kind(val)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be {'a number' if kind is float else 'an integer'}, "
+                                 f"got {val!r}") from None
+            (weight_kw if key in _WEIGHT_KEYS else cfg_kw)[key] = number
     return TrainConfig(weights=LossWeights(**weight_kw), **cfg_kw)
 
 
@@ -261,16 +260,15 @@ def _stage2_model(stage1: Stage1Model, cfg: TrainConfig, rng: np.random.Generato
     encoder2 = Encoder(cfg.network_config(), rng)
     for (_, dst), (_, src) in zip(encoder2.named_params(), stage1.encoder.named_params()):
         dst.data[:] = src.data
-    lqm = LqmState(rng, cfg.tap_channels(), d_l=cfg.d_l) if cfg.use_lqm else None
-    prompts = PromptPyramid(rng, cfg.tap_channels(), n_prompts=cfg.n_prompts) if cfg.use_lapm else None
+    channels = cfg.network_config().tap_channels()
+    lqm = LqmState(rng, channels, d_l=cfg.d_l) if cfg.use_lqm else None
+    prompts = PromptPyramid(rng, channels, n_prompts=cfg.n_prompts) if cfg.use_lapm else None
     model = Stage2Model(encoder2, stage1.encoder, stage1.decoder, stage1.codebook, stage1.disc,
                         lqm, prompts, cfg)
     # permanent freezes: clean-path encoder, codebook, decoder core
-    model.encoder_ref.set_frozen(True)
-    model.codebook.codes.requires_grad = False
-    model.decoder.set_core_frozen(True)
-    for _, p in model.decoder.fusion_named_params():
-        p.requires_grad = cfg.use_fusion
+    set_trainable(model.encoder_ref.named_params() + [("codebook.codes", model.codebook.codes)]
+                  + model.decoder.core_named_params(), False)
+    set_trainable(model.decoder.fusion_named_params(), cfg.use_fusion)
     return model
 
 
@@ -413,7 +411,7 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
     for step in range(cfg.stage1_iters):
         I_h = _batch_images(rng, images, cfg.batch_size, cfg.crop)
 
-        model.disc.set_frozen(True)
+        set_trainable(disc_group, False)
         tape = Tape()
         with tape:
             Z, skips = model.encoder.forward(I_h)
@@ -501,22 +499,23 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     disc_group = model.disc.named_params()
     enh_opt = OptimizerState([p for _, p in enhancer_group], lr=cfg.lr)
     disc_opt = OptimizerState([p for _, p in disc_group], lr=cfg.lr)
-    lqm_opt = OptimizerState([p for _, p in lqm.named_params()], lr=cfg.lr) if lqm else None
+    lqm_group = lqm.named_params() if lqm else []
+    lqm_opt = OptimizerState([p for _, p in lqm_group], lr=cfg.lr) if lqm else None
 
     px = PerceptualExtractor(seed=cfg.seed + 7)
     gamma = cfg.weights.gamma
     rows = []
 
     def lqm_update(step: int, skips_ll: list[Tensor], skips_nl: list[Tensor]) -> None:
-        lqm.set_frozen(False)
+        set_trainable(lqm_group, True)
         tape = Tape()
         with tape:
             loss = _lqm_pair_loss(skips_ll, skips_nl, lqm, cfg.margin)
         if not np.isfinite(loss.data):
             raise DivergenceError(f"stage 2 step {step}: LQM loss is not finite")
         ad.backward(loss, tape)
-        _step_group(lqm.named_params(), lqm_opt)
-        lqm.set_frozen(True)
+        _step_group(lqm_group, lqm_opt)
+        set_trainable(lqm_group, False)
         step_hook("lqm", step, model)
 
     total_warmup = cfg.lqm_warmup if lqm else 0
@@ -529,7 +528,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
         I_ll, I_nl = _batch_pairs(rng, pairs, cfg.batch_size, cfg.crop)
 
         # enhancer update: encoder copy, prompts, fusion
-        model.disc.set_frozen(True)
+        set_trainable(disc_group, False)
         with_targets = model.encoder_ref.forward(I_nl)  # untracked: params frozen, inputs constant
         Zq_h = quantize_nearest(with_targets[0], model.codebook, update_usage=False).quantized
         Zq_h = Tensor(Zq_h.data)
@@ -547,9 +546,8 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
             l_rec = reconstruction_loss(I_rec, I_nl, px)
             l_lcl = Tensor(0.0)
             if lqm is not None:
-                l_lcl = sum(light_consistency_loss(f_ll, f_nl, s.data.shape[2] * s.data.shape[3])
-                            for f_ll, f_nl, s in zip(light_factors(skips_ll, lqm),
-                                                     light_factors(skips_nl, lqm), skips_ll))
+                for f_ll, f_nl, s in zip(light_factors(skips_ll, lqm), light_factors(skips_nl, lqm), skips_ll):
+                    l_lcl = ad.add(l_lcl, light_consistency_loss(f_ll, f_nl, s.data.shape[2] * s.data.shape[3]))
             try:
                 l_total = total_loss(l_adv, l_fml, l_rec, l_lcl, cfg.weights)
             except DivergenceError as err:

@@ -280,7 +280,8 @@ class TestBackward:
             _ = ad.mul(y, y)  # recorded but unused by the loss
             loss = ad.sum_all(x)
         ad.backward(loss, tape)
-        np.testing.assert_array_equal(y.grad, np.zeros_like(y.data))
+        assert y.grad is None
+        np.testing.assert_array_equal(y.grad_array(), np.zeros_like(y.data))
 
     def test_grad_accumulates_on_reuse(self):
         x = Tensor(np.full((1, 1, 2, 2), 3.0), requires_grad=True)
@@ -289,6 +290,32 @@ class TestBackward:
             loss = ad.sum_all(ad.add(x, x))
         ad.backward(loss, tape)
         np.testing.assert_array_equal(x.grad, np.full_like(x.data, 2.0))
+
+    def test_shared_gradient_is_copied_per_input(self):
+        # add hands the same output gradient to both inputs; each needs its own slot
+        a = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+        b = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+        tape = Tape()
+        with tape:
+            loss = ad.sum_all(ad.add(a, b))
+        ad.backward(loss, tape)
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.ones_like(b.data))
+
+    def test_gradient_slot_keeps_data_layout(self):
+        # conv2d outputs are transposed views; their grads must round like them
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = ad.conv2d(x, w, pad=1)
+            loss = ad.sum_all(ad.square(y))
+        ad.backward(loss, tape)
+        assert not y.data.flags.c_contiguous
+        assert y.grad.strides == y.data.strides
+        np.testing.assert_allclose(y.grad, 2.0 * y.data, atol=1e-12)
 
 
 class TestCheckGradients:

@@ -68,6 +68,24 @@ class TestUsageErrors:
     def test_nonpositive_count_exits_1(self, tmp_path):
         assert run(["synth-data", "--n", "0", "--out", str(tmp_path / "d")]) == 1
 
+    @pytest.mark.parametrize("line, named", [("crop=30", "crop=30"), ("use_lqm=yes", "use_lqm"),
+                                             ("seed=abc", "cfg.txt:2: seed")])
+    def test_invalid_config_file_value_exits_1(self, tmp_path, capsys, line, named):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"batch_size=2\n{line}\n")
+        code = run(["synth-data", "--n", "1", "--size", "16", "--config", str(cfg_path),
+                    "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_invalid_flag_override_exits_1(self, tmp_path, capsys):
+        code = run(["pretrain", "--data", str(tmp_path / "data"), "--iters", "0",
+                    "--out", str(tmp_path / "s1")])
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "s1").exists()
+
 
 class TestSynthData:
     def test_writes_pairs_and_manifest(self, tmp_path):

@@ -13,6 +13,7 @@ from lumiq.lqm import (
     light_factors,
     lqm_contrastive_loss,
 )
+from lumiq.networks import set_trainable
 
 
 def factor(vals):
@@ -223,7 +224,7 @@ class TestFreeze:
     def test_frozen_lqm_params_are_excluded_from_gradients(self):
         rng = np.random.default_rng(13)
         lqm = LqmState(np.random.default_rng(14), channel_sizes=[3], d_l=4)
-        lqm.set_frozen(True)
+        set_trainable(lqm.named_params(), False)
         F = Tensor(rng.normal(size=(2, 3, 2, 2)), requires_grad=True)
         tape = ad.Tape()
         with tape:

@@ -13,6 +13,7 @@ from lumiq.networks import (
     NetworkConfig,
     ResnetBlock,
     SkipFusion,
+    set_trainable,
 )
 
 
@@ -98,7 +99,7 @@ class TestDecoder:
         rng = np.random.default_rng(11)
         cfg = tiny_cfg()
         enc, dec = Encoder(cfg, rng), Decoder(cfg, rng)
-        dec.set_core_frozen(True)
+        set_trainable(dec.core_named_params(), False)
         before = [p.data.copy() for _, p in dec.core_named_params()]
         x = Tensor(rng.uniform(size=(1, 3, 8, 8)), requires_grad=True)
         tape = Tape()
@@ -115,7 +116,7 @@ class TestDecoder:
     def test_core_freeze_leaves_fusion_trainable(self):
         rng = np.random.default_rng(12)
         dec = Decoder(tiny_cfg(), rng)
-        dec.set_core_frozen(True)
+        set_trainable(dec.core_named_params(), False)
         assert all(not p.requires_grad for _, p in dec.core_named_params())
         assert all(p.requires_grad for _, p in dec.fusion_named_params())
 
@@ -277,6 +278,15 @@ class TestCheckpoint:
         path.write_bytes(blob[:-4])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"w": np.ones((3, 3))}, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint({"w": np.zeros((3, 3)), "bad": np.asarray(["not a number"])}, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_trailing_bytes_raise(self, tmp_path):
         path = tmp_path / "model.ckpt"

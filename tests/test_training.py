@@ -205,6 +205,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="use_lqm.*'yes'"):
             load_config(path)
 
+    @pytest.mark.parametrize("line, kind", [("seed=abc", "an integer"), ("seed=1.5", "an integer"),
+                                            ("margin=wide", "a number"), ("gamma=", "a number")])
+    def test_non_numeric_value_names_line_and_key(self, tmp_path, line, kind):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"# header\n{line}\n")
+        key, val = line.split("=")
+        with pytest.raises(ValueError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}:2: {key} must be {kind}, got {val!r}"
+
     def test_booleans_accept_any_case(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("use_lqm=FALSE\nuse_lapm=True\nuse_fusion=false\n")
