@@ -320,13 +320,20 @@ def softmax_channels(x: Tensor) -> Tensor:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
+    """(b, c, h, w) -> (b, oh, ow, c*k*k) patch rows, zero-padded by pad.
+
+    The padded copy is channels-last: conv outputs already live in that
+    memory order, so the copy streams instead of transposing.
+    """
     b, c, h, w = x.shape
+    x = x.transpose(0, 2, 3, 1)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    oh, ow = windows.shape[2], windows.shape[3]
-    # (b, oh, ow, c*k*k)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh, ow, c * k * k)
+        padded = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
+        padded[:, pad : pad + h, pad : pad + w] = x
+        x = padded
+    windows = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    oh, ow = windows.shape[1], windows.shape[2]
+    cols = windows.reshape(b, oh, ow, c * k * k)
     return cols, oh, ow
 
 
@@ -372,11 +379,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     def grad_fn(g):
         gm = g.transpose(0, 2, 3, 1)  # (b, oh, ow, c_out)
         dx = dw = db = None
-        if x.requires_grad:
-            dcols = gm @ wmat  # (b, oh, ow, c_in*k*k)
-            dx = _col2im(dcols, x.data.shape, k, stride, pad)
+        if x.requires_grad and stride == 1:
+            # transposed convolution: the output gradient, padded by k-1-pad
+            # (cropped when pad > k-1), correlated with the flipped kernel
+            edge = k - 1 - pad
+            if edge < 0:
+                g, edge = g[:, :, -edge : oh + edge, -edge : ow + edge], 0
+            gcols = _im2col(g, k, 1, edge)[0]  # (b, h, w, c_out*k*k)
+            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * k * k)
+            dx = (gcols @ wflip.T).transpose(0, 3, 1, 2)
+        elif x.requires_grad:
+            dx = _col2im(gm @ wmat, x.data.shape, k, stride, pad)
         if weight.requires_grad:
-            dw = np.einsum("bijo,bijf->of", gm, cols).reshape(weight.data.shape)
+            # np.dot, not @: matmul takes a slow non-BLAS loop for a single row
+            dw = np.dot(gm.reshape(-1, c_out).T, cols.reshape(-1, c_in * k * k)).reshape(weight.data.shape)
         if bias is not None and bias.requires_grad:
             db = gm.sum(axis=(0, 1, 2))
         return (dx, dw, db) if bias is not None else (dx, dw)

@@ -22,6 +22,14 @@ class DivergenceError(RuntimeError):
     """A loss component stopped being finite."""
 
 
+def require_finite(config, keys) -> None:
+    """Raise ValueError naming the first of config's float keys that is NaN or infinite."""
+    for key in keys:
+        value = getattr(config, key)
+        if not np.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+
+
 @dataclass
 class LossWeights:
     sigma: float = 0.25
@@ -29,6 +37,7 @@ class LossWeights:
     lambda_lcl: float = 0.5
 
     def __post_init__(self):
+        require_finite(self, ("sigma", "gamma", "lambda_lcl"))
         if min(self.sigma, self.gamma, self.lambda_lcl) < 0:
             raise ValueError(f"loss weights must be non-negative, got {self}")
 

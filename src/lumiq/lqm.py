@@ -71,7 +71,10 @@ def lqm_contrastive_loss(factors: list[tuple[Tensor, int]], margin: float) -> Te
     """Hinged pair loss over all unordered factor pairs.
 
     Same-label pairs contribute relu(dist - margin)^2, different-label
-    pairs relu(margin - dist)^2.  Returns a scalar tensor.
+    pairs relu(margin - dist)^2.  Returns a scalar tensor.  A pair whose
+    hinge is exactly 0 adds nothing and is left off the sum, so backward
+    never replays its zero-gradient subgraph; a NaN hinge still reaches
+    the sum.
     """
     if len(factors) < 2:
         raise ValueError(f"need at least 2 factors, got {len(factors)}")
@@ -89,7 +92,8 @@ def lqm_contrastive_loss(factors: list[tuple[Tensor, int]], margin: float) -> Te
                 hinge = ad.relu(ad.sub(dist, Tensor(margin)))
             else:
                 hinge = ad.relu(ad.sub(Tensor(margin), dist))
-            total = ad.add(total, ad.square(hinge))
+            if hinge.data != 0.0:
+                total = ad.add(total, ad.square(hinge))
     return total
 
 

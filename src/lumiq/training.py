@@ -28,6 +28,7 @@ from .losses import (
     feature_matching_loss,
     l1_loss,
     reconstruction_loss,
+    require_finite,
     total_loss,
     vq_total_loss,
     write_loss_csv,
@@ -131,6 +132,7 @@ class TrainConfig:
                   self.n_down, self.d_l)
         if min(counts) < 1:
             raise ValueError(f"all config counts must be positive: {self}")
+        require_finite(self, ("lr", "margin"))
         if self.lqm_warmup < 0 or self.margin < 0 or self.lr <= 0:
             raise ValueError(f"bad config values: {self}")
         factor = 2 ** self.n_down

@@ -28,6 +28,25 @@ def conv_oracle(x, w, b, stride, pad):
     return out
 
 
+def conv_backward_oracle(x, w, g, stride, pad):
+    """(dx, dw) of conv2d for output gradient g, by patch scatter-adds and einsum."""
+    bs, cin, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    oh, ow = windows.shape[2:4]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(bs, oh, ow, cin * k * k)
+    gm = g.transpose(0, 2, 3, 1)
+    dw = np.einsum("bijo,bijf->of", gm, cols).reshape(w.shape)
+    patches = (gm @ w.reshape(cout, -1)).reshape(bs, oh, ow, cin, k, k)
+    dxp = np.zeros(xp.shape)
+    for u in range(k):
+        for v in range(k):
+            dxp[:, :, u : u + oh * stride : stride, v : v + ow * stride : stride] += (
+                patches[:, :, :, :, u, v].transpose(0, 3, 1, 2))
+    return dxp[:, :, pad : pad + h, pad : pad + wd], dw
+
+
 def pool_oracle(x, window):
     bs, c, h, w = x.shape
     out = np.zeros((bs, c, h // window, w // window))
@@ -96,6 +115,59 @@ class TestConv2d:
         assert ad.check_gradients(lambda t: ad.sum_all(ad.conv2d(t, w, b, stride=2, pad=1)), x) < 1e-4
         assert ad.check_gradients(lambda t: ad.sum_all(ad.conv2d(x, t, b, stride=2, pad=1)), w) < 1e-4
         assert ad.check_gradients(lambda t: ad.sum_all(ad.conv2d(x, w, t, stride=2, pad=1)), b) < 1e-4
+
+    def test_stride1_gradients(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(2, 2, 5, 5)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        b = Tensor(rng.normal(size=3))
+        assert ad.check_gradients(lambda t: ad.sum_all(ad.square(ad.conv2d(t, w, b, stride=1, pad=0))), x) < 1e-4
+        assert ad.check_gradients(lambda t: ad.sum_all(ad.square(ad.conv2d(x, t, b, stride=1, pad=0))), w) < 1e-4
+
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", [
+        # every conv the default TrainConfig runs (batch 4, crop 32), stage 1 and 2
+        ((4, 3, 32, 32), (8, 3, 3, 3), 2, 1),
+        ((4, 3, 32, 32), (16, 3, 3, 3), 2, 1),
+        ((4, 8, 16, 16), (16, 8, 3, 3), 2, 1),
+        ((4, 16, 8, 8), (1, 16, 3, 3), 1, 1),
+        ((4, 16, 8, 8), (32, 16, 3, 3), 2, 1),
+        ((4, 16, 16, 16), (16, 16, 3, 3), 1, 1),
+        ((4, 16, 16, 16), (32, 16, 3, 3), 2, 1),
+        ((4, 16, 32, 32), (3, 16, 3, 3), 1, 1),
+        ((4, 16, 32, 32), (16, 16, 3, 3), 1, 1),
+        ((4, 32, 8, 8), (32, 32, 3, 3), 1, 1),
+        ((4, 32, 16, 16), (16, 32, 3, 3), 1, 1),
+        ((4, 32, 16, 16), (32, 32, 3, 3), 1, 1),
+        ((4, 64, 8, 8), (32, 64, 3, 3), 1, 1),
+        ((4, 64, 8, 8), (64, 64, 3, 3), 1, 1),
+        ((64, 16, 1, 1), (5, 16, 1, 1), 1, 0),
+        ((64, 32, 1, 1), (5, 32, 1, 1), 1, 0),
+        ((1, 32, 1, 1), (16, 32, 1, 1), 1, 0),
+        ((4, 32, 1, 1), (16, 32, 1, 1), 1, 0),
+        ((1, 256, 1, 1), (32, 256, 1, 1), 1, 0),
+        ((4, 256, 1, 1), (32, 256, 1, 1), 1, 0),
+        ((1, 1024, 1, 1), (32, 1024, 1, 1), 1, 0),
+        ((4, 1024, 1, 1), (32, 1024, 1, 1), 1, 0),
+        # unpadded, over-padded, pad > k-1, non-square
+        ((2, 3, 7, 7), (4, 3, 3, 3), 1, 0),
+        ((2, 3, 7, 7), (4, 3, 3, 3), 1, 2),
+        ((2, 3, 5, 5), (4, 3, 1, 1), 1, 1),
+        ((2, 3, 9, 6), (4, 3, 3, 3), 1, 1),
+        ((2, 3, 9, 6), (4, 3, 3, 3), 2, 1),
+    ])
+    def test_backward_matches_scatter_oracle(self, xshape, wshape, stride, pad):
+        rng = np.random.default_rng(sum(xshape) + sum(wshape) + stride + pad)
+        x = Tensor(rng.normal(size=xshape), requires_grad=True)
+        w = Tensor(rng.normal(size=wshape), requires_grad=True)
+        tape = Tape()
+        with tape:
+            out = ad.conv2d(x, w, stride=stride, pad=pad)
+            weights = Tensor(rng.normal(size=out.data.shape))
+            loss = ad.sum_all(ad.mul(out, weights))
+        ad.backward(loss, tape)
+        dx, dw = conv_backward_oracle(x.data, w.data, weights.data, stride, pad)
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12 * np.abs(dx).max())
+        np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12 * np.abs(dw).max())
 
 
 class TestAvgPool:

@@ -69,7 +69,8 @@ class TestUsageErrors:
         assert run(["synth-data", "--n", "0", "--out", str(tmp_path / "d")]) == 1
 
     @pytest.mark.parametrize("line, named", [("crop=30", "crop=30"), ("use_lqm=yes", "use_lqm"),
-                                             ("seed=abc", "cfg.txt:2: seed")])
+                                             ("seed=abc", "cfg.txt:2: seed"), ("lr=nan", "lr must be finite"),
+                                             ("sigma=inf", "sigma must be finite")])
     def test_invalid_config_file_value_exits_1(self, tmp_path, capsys, line, named):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"batch_size=2\n{line}\n")

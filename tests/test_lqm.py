@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lumiq import autodiff as ad
-from lumiq.autodiff import ShapeError, Tensor
+from lumiq.autodiff import ShapeError, Tape, Tensor
 from lumiq.lqm import (
     DegenerateFactorError,
     LqmState,
@@ -152,6 +152,37 @@ class TestContrastiveLoss:
                 else:
                     want += max(0.1 - dist, 0.0) ** 2
         assert abs(got - want) < 1e-12
+
+    def test_equals_sum_over_every_pair(self):
+        rng = np.random.default_rng(10)
+        factors = [(factor(rng.normal(size=6) + 0.5), lab) for lab in (0, 1, 0, 1, 1, 0)]
+        want = Tensor(0.0)
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                dist = cosine_distance(factors[i][0], factors[j][0])
+                if factors[i][1] == factors[j][1]:
+                    hinge = ad.relu(ad.sub(dist, Tensor(0.3)))
+                else:
+                    hinge = ad.relu(ad.sub(Tensor(0.3), dist))
+                want = ad.add(want, ad.square(hinge))
+        got = lqm_contrastive_loss(factors, margin=0.3)
+        assert 0.0 < got.item() == want.item()
+
+    def test_factor_with_only_inactive_pairs_gets_no_gradient(self):
+        # f0's pairs are all inactive; (f1, f3) and (f2, f3) are active
+        f0, f1, f2, f3 = (Tensor(np.asarray(v), requires_grad=True)
+                          for v in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.1], [0.0, 0.2, 1.0]))
+        tape = Tape()
+        with tape:
+            loss = lqm_contrastive_loss([(f0, 0), (f1, 1), (f2, 1), (f3, 1)], margin=0.1)
+        ad.backward(loss, tape)
+        assert loss.item() > 0.0
+        assert f0.grad is None
+        assert all(np.abs(f.grad).max() > 0.0 for f in (f1, f2, f3))
+
+    def test_nan_factor_gives_non_finite_loss(self):
+        loss = lqm_contrastive_loss([(factor([np.nan, 1.0]), 0), (factor([1.0, 0.0]), 0)], margin=0.1)
+        assert not np.isfinite(loss.item())
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)

@@ -173,6 +173,15 @@ class TestTrainConfig:
         assert "n_prompts=5" in lines
         assert "use_fusion=true" in lines
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", ["lr", "margin", "sigma", "gamma", "lambda_lcl"])
+    def test_rejects_non_finite_floats(self, key, value):
+        with pytest.raises(ValueError, match=rf"^{key} must be finite"):
+            if key in ("lr", "margin"):
+                TrainConfig(**{key: value})
+            else:
+                LossWeights(**{key: value})
+
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)

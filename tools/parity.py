@@ -2,14 +2,16 @@
 
     python tools/parity.py REV
 
-REV is checked out into a temporary git worktree.  The same run then
+REV is exported with git archive into a temporary directory.  The same run then
 executes in that checkout and in this working tree, each in its own
 process with one BLAS thread and only the public API:
 generate_pairs(12, 32, seed=3), then pretrain_vqgan and train_enhancer
 under TrainConfig(seed=0, stage1_iters=20, stage2_iters=40, lqm_warmup=3),
 saving both checkpoints.  For each stage the script prints the largest
-relative difference between the two runs' loss rows and how many
-checkpoint tensors are bit-identical.  It exits 0 when both runs finish.
+relative difference between the two runs' loss rows, how many
+checkpoint tensors are bit-identical, and the largest elementwise
+relative difference over the checkpoint tensors.  It exits 0 when both
+runs finish.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import json
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -60,14 +64,18 @@ def max_relative_difference(a, b) -> float:
     return float(np.where(scale > 0, diff / np.where(scale > 0, scale, 1.0), 0.0).max(initial=0.0))
 
 
-def identical_tensors(path_a: Path, path_b: Path) -> tuple[int, int]:
-    """(bit-identical tensors, tensors named in either checkpoint)."""
+def compare_checkpoints(path_a: Path, path_b: Path) -> tuple[int, int, float]:
+    """(bit-identical tensors, tensors named in either checkpoint, largest
+    elementwise relative difference; inf if a tensor is missing or reshaped)."""
     from lumiq.checkpoint import load_checkpoint
 
     a, b = load_checkpoint(path_a), load_checkpoint(path_b)
+    names = a.keys() | b.keys()
     same = sum(1 for name in a.keys() & b.keys()
                if a[name].shape == b[name].shape and a[name].tobytes() == b[name].tobytes())
-    return same, len(a.keys() | b.keys())
+    worst = max((max_relative_difference(a[name], b[name]) if name in a and name in b else float("inf")
+                 for name in names), default=0.0)
+    return same, len(names), worst
 
 
 def main(argv: list[str]) -> int:
@@ -79,19 +87,20 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         rev_tree = tmp / "rev"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--quiet", "--detach", str(rev_tree), rev],
-                       check=True)
-        try:
-            rows_rev = run_tree(rev_tree, tmp / "out_rev")
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(rev_tree)], check=True)
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                                 stdout=subprocess.PIPE, check=True).stdout
+        with tarfile.open(fileobj=BytesIO(archive)) as tar:
+            tar.extractall(rev_tree, filter="data")
+        rows_rev = run_tree(rev_tree, tmp / "out_rev")
         rows_now = run_tree(ROOT, tmp / "out_now")
         print(f"parity: {rev} vs working tree")
         for stage in ("stage1", "stage2"):
             diff = max_relative_difference(rows_rev[stage], rows_now[stage])
-            same, total = identical_tensors(tmp / "out_rev" / f"{stage}.ckpt", tmp / "out_now" / f"{stage}.ckpt")
+            same, total, worst = compare_checkpoints(tmp / "out_rev" / f"{stage}.ckpt",
+                                                     tmp / "out_now" / f"{stage}.ckpt")
             print(f"{stage}: {len(rows_now[stage])} loss rows, max relative difference {diff:.3g}; "
-                  f"{same} of {total} checkpoint tensors bit-identical")
+                  f"{same} of {total} checkpoint tensors bit-identical, "
+                  f"max elementwise relative difference {worst:.3g}")
     return 0
 
 
