@@ -13,7 +13,7 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .codebook import Codebook, codebook_matching_loss, export_histogram_csv, qu
 from .data import DegradeParams, ImagePair, generate_pairs, read_image, write_image
 from .lapm import PromptBank, compose_prompt, inject_prompt, prompt_weights
 from .losses import (
-    LossWeights,
     PerceptualExtractor,
     adversarial_loss,
     feature_matching_loss,
@@ -37,12 +36,12 @@ from .training import (
     Stage1Model,
     Stage2Model,
     TrainConfig,
+    check_stage1_sizes,
+    config_lines,
     enhance,
-    fields_of_config_file,
     format_value,
     load_any,
     load_config,
-    load_model,
     pretrain_vqgan,
     reconstruct,
     save_model,
@@ -78,19 +77,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="stage-1 training on the clean images of a dataset")
     common(p)
     p.add_argument("--data", required=True, help="directory holding manifest.csv")
-    p.add_argument("--iters", type=int, default=None, help="override stage-1 iterations")
-    p.add_argument("--codebook-size", type=int, default=None, help="override codebook entry count")
+    p.add_argument("--iters", dest="stage1_iters", type=int, default=None, help="override stage-1 iterations")
+    p.add_argument("--codebook-size", dest="n_codes", type=int, default=None, help="override codebook entry count")
 
     p = sub.add_parser("train", help="stage-2 enhancer training from a stage-1 checkpoint")
     common(p)
     p.add_argument("--data", required=True, help="directory holding manifest.csv")
     p.add_argument("--ckpt", required=True, help="stage-1 checkpoint path")
-    p.add_argument("--iters", type=int, default=None, help="override stage-2 iterations")
+    p.add_argument("--iters", dest="stage2_iters", type=int, default=None, help="override stage-2 iterations")
     p.add_argument("--lambda", dest="lambda_lcl", type=float, default=None,
                    help="override the consistency-loss weight")
-    p.add_argument("--prompts", type=int, default=None, help="override the prompt count")
+    p.add_argument("--prompts", dest="n_prompts", type=int, default=None, help="override the prompt count")
     p.add_argument("--margin", type=float, default=None, help="override the contrastive margin")
-    p.add_argument("--codebook-size", type=int, default=None, help="override codebook entry count")
+    p.add_argument("--codebook-size", dest="n_codes", type=int, default=None, help="override codebook entry count")
 
     p = sub.add_parser("enhance", help="run the trained enhancer over PPM images")
     common(p)
@@ -113,33 +112,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> TrainConfig:
-    """Config file (or defaults) plus flag overrides; an invalid result is a UsageError."""
+    """Config file (or defaults) plus flag overrides; an invalid result is a UsageError.
+
+    An override flag's dest is the config key it sets."""
     try:
         cfg = load_config(args.config) if args.config else TrainConfig()
-        updates = {}
-        if args.seed is not None:
-            updates["seed"] = args.seed
-        if getattr(args, "iters", None) is not None:
-            key = "stage1_iters" if args.command == "pretrain" else "stage2_iters"
-            updates[key] = args.iters
-        if getattr(args, "codebook_size", None) is not None:
-            updates["n_codes"] = args.codebook_size
-        if getattr(args, "prompts", None) is not None:
-            updates["n_prompts"] = args.prompts
-        weights = cfg.weights
-        if getattr(args, "lambda_lcl", None) is not None:
-            weights = replace(weights, lambda_lcl=args.lambda_lcl)
-        if getattr(args, "margin", None) is not None:
-            updates["margin"] = args.margin
-        return replace(cfg, weights=weights, **updates)
+        return replace(cfg, **{f.name: getattr(args, f.name) for f in fields(cfg)
+                               if getattr(args, f.name, None) is not None})
     except ValueError as err:
         raise UsageError(str(err)) from err
 
 
 def print_resolved(args, cfg: TrainConfig) -> None:
     print(f"command={args.command}")
-    for key, value in fields_of_config_file(cfg):
-        print(f"{key}={format_value(value)}")
+    for line in config_lines(cfg):
+        print(line)
     for extra in ("n", "size", "images", "data", "ckpt", "out"):
         if getattr(args, extra, None) is not None:
             print(f"{extra}={getattr(args, extra)}")
@@ -235,9 +222,10 @@ def cmd_pretrain(args, cfg: TrainConfig) -> int:
 
 def cmd_train(args, cfg: TrainConfig) -> int:
     pairs = read_manifest(args.data)
-    stage1 = load_model(args.ckpt, cfg)
+    stage1 = load_any(args.ckpt)
     if not isinstance(stage1, Stage1Model):
         raise UsageError(f"{args.ckpt} is not a stage-1 checkpoint")
+    check_stage1_sizes(stage1, cfg)  # before --out exists; train_enhancer repeats it for library callers
     os.makedirs(args.out, exist_ok=True)
     every = max(1, cfg.stage2_iters // 10)
 
@@ -429,9 +417,8 @@ def gradcheck_cases(seed: int):
     ref = Tensor(t0 - _away_from_zero(rng, t0.shape, 0.3, 0.8))
 
     def combined(t):
-        w = LossWeights()
         return total_loss(ad.mean_all(ad.square(t)), ad.mean_all(ad.absolute(t)),
-                          l1_loss(t, ref), ad.mean_all(ad.square(ad.sub(t, ref))), w)
+                          l1_loss(t, ref), ad.mean_all(ad.square(ad.sub(t, ref))), TrainConfig.lambda_lcl)
 
     cases.append(("total_loss", combined, Tensor(t0)))
     return cases

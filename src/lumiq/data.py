@@ -14,9 +14,6 @@ import numpy as np
 
 from .autodiff import Tensor
 
-LABEL_LOW = 0
-LABEL_NORMAL = 1
-
 
 @dataclass
 class DegradeParams:
@@ -39,8 +36,6 @@ class ImagePair:
     low: Tensor
     normal: Tensor
     scene_id: int
-    light_label_low: int = LABEL_LOW
-    light_label_normal: int = LABEL_NORMAL
     params: DegradeParams | None = field(default=None)
 
     def __post_init__(self):
@@ -48,8 +43,6 @@ class ImagePair:
             raise ValueError(
                 f"pair {self.scene_id}: shapes {self.low.data.shape} and {self.normal.data.shape} differ"
             )
-        if self.light_label_low == self.light_label_normal:
-            raise ValueError(f"pair {self.scene_id}: light labels must differ")
 
 
 def synth_scene(seed: int, h: int, w: int) -> Tensor:

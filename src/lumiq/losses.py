@@ -9,8 +9,6 @@ pretrained feature network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -20,26 +18,6 @@ from .networks import Conv, set_trainable
 
 class DivergenceError(RuntimeError):
     """A loss component stopped being finite."""
-
-
-def require_finite(config, keys) -> None:
-    """Raise ValueError naming the first of config's float keys that is NaN or infinite."""
-    for key in keys:
-        value = getattr(config, key)
-        if not np.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-
-
-@dataclass
-class LossWeights:
-    sigma: float = 0.25
-    gamma: float = 0.1
-    lambda_lcl: float = 0.5
-
-    def __post_init__(self):
-        require_finite(self, ("sigma", "gamma", "lambda_lcl"))
-        if min(self.sigma, self.gamma, self.lambda_lcl) < 0:
-            raise ValueError(f"loss weights must be non-negative, got {self}")
 
 
 def l1_loss(a: Tensor, b: Tensor) -> Tensor:
@@ -123,12 +101,12 @@ def _check_finite(name: str, value: Tensor) -> None:
 
 
 def total_loss(l_adv: Tensor, l_fml: Tensor, l_rec: Tensor, l_lcl: Tensor,
-               weights: LossWeights) -> Tensor:
+               lambda_lcl: float) -> Tensor:
     """Stage-2 objective: l_adv + l_fml + l_rec + lambda * l_lcl."""
     for name, val in (("l_adv", l_adv), ("l_fml", l_fml), ("l_rec", l_rec), ("l_lcl", l_lcl)):
         _check_finite(name, val)
     out = ad.add(ad.add(l_adv, l_fml), l_rec)
-    return ad.add(out, ad.mul(l_lcl, Tensor(weights.lambda_lcl)))
+    return ad.add(out, ad.mul(l_lcl, Tensor(lambda_lcl)))
 
 
 def vq_total_loss(l_mae: Tensor, l_cma: Tensor, l_adv: Tensor) -> Tensor:

@@ -10,7 +10,9 @@ discriminator kept adversarial throughout.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields, replace
+import functools
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -22,13 +24,11 @@ from .data import ImagePair
 from .lapm import PromptPyramid, prompt_patch
 from .losses import (
     DivergenceError,
-    LossWeights,
     PerceptualExtractor,
     adversarial_loss,
     feature_matching_loss,
     l1_loss,
     reconstruction_loss,
-    require_finite,
     total_loss,
     vq_total_loss,
     write_loss_csv,
@@ -107,13 +107,15 @@ def _disc_step(disc: Discriminator, real: Tensor, fake: Tensor, gamma: float, gr
 
 @dataclass
 class TrainConfig:
+    """Every setting of a run.  Config files, CLI overrides and the printed
+    config all follow these fields, in this order, with these types."""
+
     seed: int = 0
     batch_size: int = 4
     crop: int = 32
     stage1_iters: int = 2000
     stage2_iters: int = 1000
     lqm_warmup: int = 100
-    weights: LossWeights = field(default_factory=LossWeights)
     margin: float = 0.1
     n_prompts: int = 5
     n_codes: int = 64
@@ -125,6 +127,9 @@ class TrainConfig:
     use_fusion: bool = True
     use_lqm: bool = True
     use_lapm: bool = True
+    sigma: float = 0.25  # codebook- and feature-matching weight
+    gamma: float = 0.1  # adversarial weight
+    lambda_lcl: float = 0.5  # light-consistency weight
 
     def __post_init__(self):
         counts = (self.batch_size, self.crop, self.stage1_iters, self.stage2_iters,
@@ -132,9 +137,14 @@ class TrainConfig:
                   self.n_down, self.d_l)
         if min(counts) < 1:
             raise ValueError(f"all config counts must be positive: {self}")
-        require_finite(self, ("lr", "margin"))
-        if self.lqm_warmup < 0 or self.margin < 0 or self.lr <= 0:
-            raise ValueError(f"bad config values: {self}")
+        for key in _keys_of_type(float):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        for key in ("seed", "lqm_warmup", "margin", "sigma", "gamma", "lambda_lcl"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative, got {getattr(self, key)!r}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr!r}")
         factor = 2 ** self.n_down
         if self.crop % factor:
             raise ValueError(f"crop={self.crop} is not a multiple of 2**n_down={factor}")
@@ -149,22 +159,24 @@ class TrainConfig:
                              code_dim=self.code_dim)
 
 
-_BOOL_KEYS = ("use_fusion", "use_lqm", "use_lapm")
-_WEIGHT_KEYS = ("sigma", "gamma", "lambda_lcl")
-_FLOAT_KEYS = ("margin", "lr") + _WEIGHT_KEYS
+@functools.cache
+def _config_kinds() -> dict[str, type]:
+    """Each TrainConfig key's declared type, in field order; read-only."""
+    return get_type_hints(TrainConfig)
 
 
-def fields_of_config_file(cfg: TrainConfig) -> list[tuple[str, object]]:
-    """(key, value) pairs in the order the config file uses."""
-    return ([(f.name, getattr(cfg, f.name)) for f in fields(cfg) if f.name != "weights"]
-            + [(key, getattr(cfg.weights, key)) for key in _WEIGHT_KEYS])
+def _keys_of_type(kind: type) -> list[str]:
+    return [key for key, declared in _config_kinds().items() if declared is kind]
+
+
+def config_lines(cfg: TrainConfig) -> list[str]:
+    """One key=value line per field, in field order: a config file's lines."""
+    return [f"{f.name}={format_value(getattr(cfg, f.name))}" for f in fields(cfg)]
 
 
 def save_config(cfg: TrainConfig, path) -> None:
-    """Flat key=value form, one entry per line."""
-    lines = [f"{key}={format_value(value)}" for key, value in fields_of_config_file(cfg)]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(config_lines(cfg)) + "\n")
 
 
 def format_value(v) -> str:
@@ -176,9 +188,9 @@ def format_value(v) -> str:
 
 
 def load_config(path) -> TrainConfig:
-    cfg_kw: dict = {}
-    weight_kw: dict = {}
-    int_keys = {f.name for f in fields(TrainConfig)} - set(_BOOL_KEYS) - set(_FLOAT_KEYS) - {"weights"}
+    """Parse key=value lines; each key takes its TrainConfig field's declared type."""
+    kinds = _config_kinds()
+    values: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -188,21 +200,20 @@ def load_config(path) -> TrainConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, val = line.split("=", 1)
             key, val = key.strip(), val.strip()
-            if key in _BOOL_KEYS:
+            kind = kinds.get(key)
+            if kind is None:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if kind is bool:
                 if val.lower() not in ("true", "false"):
                     raise ValueError(f"{path}:{lineno}: {key} must be true or false, got {val!r}")
-                cfg_kw[key] = val.lower() == "true"
+                values[key] = val.lower() == "true"
                 continue
-            if key not in _FLOAT_KEYS and key not in int_keys:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = float if key in _FLOAT_KEYS else int
             try:
-                number = kind(val)
+                values[key] = kind(val)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key} must be {'a number' if kind is float else 'an integer'}, "
                                  f"got {val!r}") from None
-            (weight_kw if key in _WEIGHT_KEYS else cfg_kw)[key] = number
-    return TrainConfig(weights=LossWeights(**weight_kw), **cfg_kw)
+    return TrainConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -274,35 +285,8 @@ def _stage2_model(stage1: Stage1Model, cfg: TrainConfig, rng: np.random.Generato
     return model
 
 
+# the config values every checkpoint records; stage-2 checkpoints add the use_* flags
 _CONFIG_KEYS = ("seed", "n_codes", "code_dim", "base_channels", "n_down", "n_prompts", "d_l", "crop")
-# sizes a checkpoint must agree on with the config it is loaded under, per stage
-_CHECKED_KEYS = {1: ("n_codes", "code_dim", "base_channels", "n_down"),
-                 2: ("n_codes", "code_dim", "base_channels", "n_down", "n_prompts", "d_l")}
-
-
-def _stored_config(entries: dict) -> dict[str, int]:
-    """The config values a checkpoint records, by key."""
-    return {k: int(entries[f"config/{k}"].reshape(())) for k in _CONFIG_KEYS if f"config/{k}" in entries}
-
-
-def _stored_stage(entries: dict) -> int:
-    """The stage marker a checkpoint records; 0 when it has none."""
-    return int(entries.get("config/stage", np.asarray(0.0)).reshape(()))
-
-
-def _stored_flags(entries: dict) -> dict[str, bool]:
-    """use_* flags a checkpoint records; a missing one reads as on in stage 2 and as off in
-    stage 1, which has no prompts, so its crop is not held to the prompt-patch rule."""
-    default = np.asarray(float(_stored_stage(entries) == 2))
-    return {k: bool(entries.get(f"config/{k}", default).reshape(())) for k in _BOOL_KEYS}
-
-
-def _check_sizes(stored: dict[str, int], cfg: TrainConfig, keys, source: str) -> None:
-    """Raise CompatibilityError naming every size in keys that stored lacks or disagrees on."""
-    problems = [f"{k}: {source} has {stored[k]}, config wants {getattr(cfg, k)}" if k in stored
-                else f"{source} missing config/{k}" for k in keys if stored.get(k) != getattr(cfg, k)]
-    if problems:
-        raise CompatibilityError("; ".join(problems))
 
 
 def model_entries(model: Stage1Model | Stage2Model) -> dict[str, np.ndarray]:
@@ -310,26 +294,35 @@ def model_entries(model: Stage1Model | Stage2Model) -> dict[str, np.ndarray]:
     stage2 = isinstance(model, Stage2Model)
     entries = {f"config/{k}": np.asarray(float(getattr(model.cfg, k))) for k in _CONFIG_KEYS}
     entries["config/stage"] = np.asarray(2.0 if stage2 else 1.0)
-    entries.update({f"config/{k}": np.asarray(float(getattr(model.cfg, k))) for k in _BOOL_KEYS if stage2})
+    entries.update({f"config/{k}": np.asarray(float(getattr(model.cfg, k))) for k in _keys_of_type(bool) if stage2})
     for name, p in model.named_params():
         entries[name] = p.data
     entries["codebook.usage"] = model.codebook.usage.astype(np.float64)
     return entries
 
 
-def _model_from_entries(entries: dict, cfg: TrainConfig, path) -> Stage1Model | Stage2Model:
-    """Rebuild the stage-1 or stage-2 model that path's checkpoint entries describe."""
-    stage = _stored_stage(entries)
-    if stage not in _CHECKED_KEYS:
+def save_model(model, path) -> None:
+    save_checkpoint(model_entries(model), path)
+
+
+def load_any(path) -> Stage1Model | Stage2Model:
+    """Rebuild the stage-1 or stage-2 model a checkpoint holds, under the config recorded in it."""
+    entries = load_checkpoint(path)
+    stage = int(entries.get("config/stage", np.asarray(0.0)).reshape(()))
+    if stage not in (1, 2):
         raise CompatibilityError(f"{path}: unknown or missing stage marker")
-    stored = _stored_config(entries)
-    _check_sizes(stored, cfg, _CHECKED_KEYS[stage], "checkpoint")
+    for k in _CONFIG_KEYS:
+        if f"config/{k}" not in entries:
+            raise CompatibilityError(f"checkpoint missing config/{k}")
+    # a missing use_* flag reads as on in stage 2 and as off in stage 1, which has
+    # no prompts, so its crop is not held to the prompt-patch rule
+    default = np.asarray(float(stage == 2))
+    cfg = TrainConfig(**{k: int(entries[f"config/{k}"].reshape(())) for k in _CONFIG_KEYS},
+                      **{k: bool(entries.get(f"config/{k}", default).reshape(())) for k in _keys_of_type(bool)})
     rng = np.random.default_rng(0)
-    if stage == 1:
-        model = Stage1Model.build(cfg, rng)
-    else:
-        cfg = replace(cfg, crop=stored.get("crop", cfg.crop), **_stored_flags(entries))
-        model = _stage2_model(Stage1Model.build(cfg, rng), cfg, rng)
+    model = Stage1Model.build(cfg, rng)
+    if stage == 2:
+        model = _stage2_model(model, cfg, rng)
     for name, p in model.named_params():
         if name not in entries:
             raise CompatibilityError(f"checkpoint missing parameter {name}")
@@ -340,40 +333,30 @@ def _model_from_entries(entries: dict, cfg: TrainConfig, path) -> Stage1Model | 
     return model
 
 
-def save_model(model, path) -> None:
-    save_checkpoint(model_entries(model), path)
-
-
-def load_model(path, cfg: TrainConfig):
-    return _model_from_entries(load_checkpoint(path), cfg, path)
-
-
-def config_from_entries(entries: dict) -> TrainConfig:
-    """Rebuild the architectural part of the config stored in a checkpoint."""
-    stored = _stored_config(entries)
-    for k in _CONFIG_KEYS:
-        if k not in stored:
-            raise CompatibilityError(f"checkpoint missing config/{k}")
-    return TrainConfig(**stored, **_stored_flags(entries))
-
-
-def load_any(path):
-    """Load a checkpoint using the config recorded inside it."""
-    entries = load_checkpoint(path)
-    return _model_from_entries(entries, config_from_entries(entries), path)
+def check_stage1_sizes(stage1: Stage1Model, cfg: TrainConfig) -> None:
+    """Raise CompatibilityError naming each size stage1 was built with that cfg disagrees on."""
+    problems = [f"{k}: stage-1 model has {getattr(stage1.cfg, k)}, config wants {getattr(cfg, k)}"
+                for k in ("n_codes", "code_dim", "base_channels", "n_down") if getattr(stage1.cfg, k) != getattr(cfg, k)]
+    if problems:
+        raise CompatibilityError("; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
 # batching helpers
 
 
+def _require_crop(shapes, crop: int, kind: str) -> None:
+    """Raise ShapeError naming the first image shape with a side shorter than crop."""
+    for i, shape in enumerate(shapes):
+        if min(shape[2:]) < crop:
+            raise ShapeError(f"{kind} {i} has shape {shape}, smaller than crop {crop}")
+
+
 def _crop(rng: np.random.Generator, crop: int, *imgs: np.ndarray) -> list[np.ndarray]:
-    """Crop same-sized images at one random offset; no draw if already crop-sized."""
+    """Crop same-sized images, none smaller than crop, at one random offset; no draw if already crop-sized."""
     _, _, h, w = imgs[0].shape
     if h == crop and w == crop:
         return list(imgs)
-    if h < crop or w < crop:
-        raise ShapeError(f"image {imgs[0].shape} smaller than crop {crop}")
     i = int(rng.integers(0, h - crop + 1))
     j = int(rng.integers(0, w - crop + 1))
     return [img[:, :, i : i + crop, j : j + crop] for img in imgs]
@@ -401,6 +384,7 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
     """
     if not images:
         raise ValueError("pretrain_vqgan needs a non-empty image list")
+    _require_crop([image.data.shape for image in images], cfg.crop, "image")
     rng = np.random.default_rng(cfg.seed)
     model = Stage1Model.build(cfg, np.random.default_rng(rng.integers(0, 2**31)))
     gen_group = (model.encoder.named_params() + model.decoder.named_params()
@@ -408,7 +392,6 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
     disc_group = model.disc.named_params()
     gen_opt = OptimizerState([p for _, p in gen_group], lr=cfg.lr)
     disc_opt = OptimizerState([p for _, p in disc_group], lr=cfg.lr)
-    gamma = cfg.weights.gamma
     rows = []
     for step in range(cfg.stage1_iters):
         I_h = _batch_images(rng, images, cfg.batch_size, cfg.crop)
@@ -420,16 +403,16 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
             res = quantize_nearest(Z, model.codebook)
             I_rec = model.decoder.forward(res.quantized, skips)
             l_mae = l1_loss(I_h, I_rec)
-            l_cma = codebook_matching_loss(Z, res.lookup, cfg.weights.sigma)
+            l_cma = codebook_matching_loss(Z, res.lookup, cfg.sigma)
             fake_logits = model.disc.forward(I_rec)
-            l_adv = ad.mul(adversarial_loss(None, fake_logits, gamma, "generator"), Tensor(gamma))
+            l_adv = ad.mul(adversarial_loss(None, fake_logits, cfg.gamma, "generator"), Tensor(cfg.gamma))
             try:
                 l_total = vq_total_loss(l_mae, l_cma, l_adv)
             except DivergenceError as err:
                 raise DivergenceError(f"stage 1 step {step}: {err}") from err
         ad.backward(l_total, tape)
         _step_group(gen_group, gen_opt)
-        _disc_step(model.disc, I_h, I_rec, gamma, disc_group, disc_opt, f"stage 1 step {step}")
+        _disc_step(model.disc, I_h, I_rec, cfg.gamma, disc_group, disc_opt, f"stage 1 step {step}")
 
         rows.append((step, l_mae.item(), l_cma.item(), l_adv.item(), l_total.item()))
         if log_hook is not None:
@@ -489,7 +472,8 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     """
     if not pairs:
         raise ValueError("train_enhancer needs a non-empty pair list")
-    _check_sizes({k: getattr(stage1.cfg, k) for k in _CHECKED_KEYS[1]}, cfg, _CHECKED_KEYS[1], "stage-1 model")
+    check_stage1_sizes(stage1, cfg)
+    _require_crop([pair.low.data.shape for pair in pairs], cfg.crop, "pair")
     step_hook = step_hook or (lambda phase, step, model: None)
     rng = np.random.default_rng(cfg.seed + 1)
     model = _stage2_model(copy.deepcopy(stage1), cfg, np.random.default_rng(rng.integers(0, 2**31)))
@@ -505,7 +489,6 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     lqm_opt = OptimizerState([p for _, p in lqm_group], lr=cfg.lr) if lqm else None
 
     px = PerceptualExtractor(seed=cfg.seed + 7)
-    gamma = cfg.weights.gamma
     rows = []
 
     def lqm_update(step: int, skips_ll: list[Tensor], skips_nl: list[Tensor]) -> None:
@@ -542,23 +525,23 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
                 lqm_update(step, skips_ll, skips_nl)
             res = quantize_nearest(Z_ll, model.codebook)
             I_rec = model.decoder.forward(res.quantized, skips_ll, prompts=prompts)
-            l_adv = ad.mul(adversarial_loss(None, model.disc.forward(I_rec), gamma, "generator"),
-                           Tensor(gamma))
-            l_fml = feature_matching_loss(Z_ll, Zq_h, cfg.weights.sigma)
+            l_adv = ad.mul(adversarial_loss(None, model.disc.forward(I_rec), cfg.gamma, "generator"),
+                           Tensor(cfg.gamma))
+            l_fml = feature_matching_loss(Z_ll, Zq_h, cfg.sigma)
             l_rec = reconstruction_loss(I_rec, I_nl, px)
             l_lcl = Tensor(0.0)
             if lqm is not None:
                 for f_ll, f_nl, s in zip(light_factors(skips_ll, lqm), light_factors(skips_nl, lqm), skips_ll):
                     l_lcl = ad.add(l_lcl, light_consistency_loss(f_ll, f_nl, s.data.shape[2] * s.data.shape[3]))
             try:
-                l_total = total_loss(l_adv, l_fml, l_rec, l_lcl, cfg.weights)
+                l_total = total_loss(l_adv, l_fml, l_rec, l_lcl, cfg.lambda_lcl)
             except DivergenceError as err:
                 raise DivergenceError(f"stage 2 step {step}: {err}") from err
         ad.backward(l_total, tape)
         _step_group(enhancer_group, enh_opt)
         step_hook("enhancer", step, model)
 
-        _disc_step(model.disc, I_nl, I_rec, gamma, disc_group, disc_opt, f"stage 2 step {step}")
+        _disc_step(model.disc, I_nl, I_rec, cfg.gamma, disc_group, disc_opt, f"stage 2 step {step}")
         step_hook("disc", step, model)
 
         rows.append((step, l_adv.item(), l_fml.item(), l_rec.item(), l_lcl.item(), l_total.item()))
@@ -619,7 +602,7 @@ def run_lambda_sweep(stage1: Stage1Model, train_pairs, eval_pairs, cfg: TrainCon
                      lambdas=(1.0, 0.5, 0.001)):
     """Rows (lambda, psnr, ssim) for the consistency-weight grid."""
     return _sweep(stage1, train_pairs, eval_pairs,
-                  [(lam, replace(cfg, weights=replace(cfg.weights, lambda_lcl=lam))) for lam in lambdas])
+                  [(lam, replace(cfg, lambda_lcl=lam)) for lam in lambdas])
 
 
 def run_prompt_sweep(stage1: Stage1Model, train_pairs, eval_pairs, cfg: TrainConfig,

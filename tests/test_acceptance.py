@@ -20,7 +20,7 @@ from lumiq.autodiff import Tensor
 from lumiq.cli import run as cli_run, run_gradcheck
 from lumiq.codebook import Codebook, histogram_distance, quantize_nearest, codebook_matching_loss
 from lumiq.data import generate_pairs
-from lumiq.losses import LossWeights, feature_matching_loss, total_loss
+from lumiq.losses import feature_matching_loss, total_loss
 from lumiq.lqm import light_consistency_loss, lqm_contrastive_loss
 from lumiq.metrics import psnr, ssim
 from lumiq.training import (
@@ -244,8 +244,7 @@ def test_loss_algebra():
     for _ in range(10):
         a, f, r, l = rng.normal(size=4)
         lam = float(rng.uniform(0.001, 1.0))
-        w = LossWeights(lambda_lcl=lam)
-        got = total_loss(Tensor(a), Tensor(f), Tensor(r), Tensor(l), w).item()
+        got = total_loss(Tensor(a), Tensor(f), Tensor(r), Tensor(l), lam).item()
         assert abs(got - (a + f + r + lam * l)) < ALGEBRA_TOL
 
 

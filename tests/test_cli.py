@@ -7,7 +7,6 @@ import pytest
 
 from lumiq.cli import run, run_gradcheck
 from lumiq.data import read_image, write_image, synth_scene
-from lumiq.losses import LossWeights
 from lumiq.training import TrainConfig, save_config
 
 
@@ -44,6 +43,15 @@ def workspace(tmp_path_factory):
             "s1": s1 / "stage1.ckpt", "s2": s2 / "stage2.ckpt"}
 
 
+@pytest.fixture(scope="module")
+def stage2_five_prompts(workspace):
+    """A stage-2 checkpoint trained from the workspace's stage 1 with 5 prompts."""
+    out = workspace["root"] / "s2_five_prompts"
+    assert run(["train", "--data", str(workspace["data"]), "--config", str(workspace["cfg_path"]),
+                "--prompts", "5", "--iters", "1", "--ckpt", str(workspace["s1"]), "--out", str(out)]) == 0
+    return out / "stage2.ckpt"
+
+
 class TestUsageErrors:
     def test_unknown_flag_exits_1(self, tmp_path):
         assert run(["synth-data", "--out", str(tmp_path), "--bogus", "1"]) == 1
@@ -70,7 +78,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("line, named", [("crop=30", "crop=30"), ("use_lqm=yes", "use_lqm"),
                                              ("seed=abc", "cfg.txt:2: seed"), ("lr=nan", "lr must be finite"),
-                                             ("sigma=inf", "sigma must be finite")])
+                                             ("sigma=inf", "sigma must be finite"),
+                                             ("seed=-1", "seed must be non-negative, got -1")])
     def test_invalid_config_file_value_exits_1(self, tmp_path, capsys, line, named):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"batch_size=2\n{line}\n")
@@ -86,6 +95,13 @@ class TestUsageErrors:
         assert code == 1
         assert "usage error" in capsys.readouterr().err
         assert not (tmp_path / "s1").exists()
+
+    @pytest.mark.parametrize("command", [["synth-data", "--n", "1"], ["pretrain", "--data", "nope"]])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, command):
+        code = run(command + ["--seed", "-1", "--out", str(tmp_path / "d")])
+        assert code == 1
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
 
 class TestSynthData:
@@ -153,6 +169,19 @@ class TestTrainingCommands:
                     "--config", str(workspace["cfg_path"]),
                     "--ckpt", str(workspace["s2"]), "--out", str(tmp_path / "x")])
         assert code == 1
+
+    @pytest.mark.parametrize("flags, ckpt, code, message", [
+        (["--codebook-size", "32"], "s1", 2, "n_codes"),
+        (["--prompts", "3"], "s2_five_prompts", 1, "not a stage-1 checkpoint"),
+    ])
+    def test_train_failure_creates_no_out_dir(self, workspace, stage2_five_prompts, tmp_path, capsys,
+                                              flags, ckpt, code, message):
+        ckpts = {"s1": workspace["s1"], "s2_five_prompts": stage2_five_prompts}
+        out = tmp_path / "x"
+        assert run(["train", "--data", str(workspace["data"]), "--config", str(workspace["cfg_path"]),
+                    *flags, "--ckpt", str(ckpts[ckpt]), "--out", str(out)]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_dir_exits_2(self, workspace, tmp_path):
         code = run(["pretrain", "--data", str(tmp_path / "nope"),

@@ -104,7 +104,6 @@ class TestGeneratePairs:
         for k, pair in enumerate(pairs):
             assert pair.scene_id == k
             assert pair.low.data.shape == pair.normal.data.shape == (1, 3, 32, 32)
-            assert pair.light_label_low != pair.light_label_normal
             assert pair.low.data.mean() < pair.normal.data.mean()
 
     def test_deterministic(self):
@@ -118,8 +117,6 @@ class TestGeneratePairs:
         I = synth_scene(0, 8, 8)
         with pytest.raises(ValueError):
             ImagePair(low=I, normal=synth_scene(1, 16, 16), scene_id=0)
-        with pytest.raises(ValueError):
-            ImagePair(low=I, normal=I, scene_id=0, light_label_low=1, light_label_normal=1)
 
 
 class TestPsnr:

@@ -7,7 +7,6 @@ from lumiq import autodiff as ad
 from lumiq.autodiff import ShapeError, Tape, Tensor
 from lumiq.losses import (
     DivergenceError,
-    LossWeights,
     PerceptualExtractor,
     adversarial_loss,
     feature_matching_loss,
@@ -17,6 +16,7 @@ from lumiq.losses import (
     vq_total_loss,
     write_loss_csv,
 )
+from lumiq.training import TrainConfig
 
 
 def logsig_hp(z):
@@ -198,18 +198,16 @@ class TestReconstruction:
 class TestTotals:
     def test_all_zero(self):
         z = Tensor(0.0)
-        w = LossWeights()
-        assert total_loss(z, z, z, z, w).item() == 0.0
+        assert total_loss(z, z, z, z, 0.5).item() == 0.0
         assert vq_total_loss(z, z, z).item() == 0.0
 
     def test_arithmetic_example(self):
-        w = LossWeights(lambda_lcl=0.5)
-        got = total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), Tensor(2.0), w).item()
+        got = total_loss(Tensor(1.0), Tensor(1.0), Tensor(1.0), Tensor(2.0), 0.5).item()
         assert got == 4.0
 
     def test_linear_in_each_component(self):
         rng = np.random.default_rng(18)
-        w = LossWeights(lambda_lcl=0.5)
+        w = 0.5
         base = [Tensor(float(v)) for v in rng.uniform(0.1, 1.0, size=4)]
         ref = total_loss(*base, w).item()
         for i, coef in enumerate([1.0, 1.0, 1.0, 0.5]):
@@ -222,7 +220,7 @@ class TestTotals:
         assert got == 0.875
 
     def test_nan_component_names_component(self):
-        w = LossWeights()
+        w = 0.5
         z = Tensor(0.0)
         with pytest.raises(DivergenceError, match="l_rec"):
             total_loss(z, z, Tensor(float("nan")), z, w)
@@ -231,12 +229,11 @@ class TestTotals:
 
     def test_weights_validate(self):
         with pytest.raises(ValueError):
-            LossWeights(sigma=-0.1)
+            TrainConfig(sigma=-0.1)
 
     def test_lambda_sweep_values_accepted(self):
         for lam in (1.0, 0.5, 0.001):
-            w = LossWeights(lambda_lcl=lam)
-            got = total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0), Tensor(2.0), w).item()
+            got = total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0), Tensor(2.0), lam).item()
             assert abs(got - lam * 2.0) < 1e-15
 
 

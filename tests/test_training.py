@@ -6,7 +6,7 @@ import pytest
 from lumiq import autodiff as ad
 from lumiq.autodiff import ShapeError, Tensor
 from lumiq.data import ImagePair, generate_pairs, synth_scene
-from lumiq.losses import DivergenceError, LossWeights
+from lumiq.losses import DivergenceError
 from lumiq.networks import NetworkConfig, Encoder
 from lumiq.training import (
     CompatibilityError,
@@ -19,7 +19,6 @@ from lumiq.training import (
     evaluate_pairs,
     load_any,
     load_config,
-    load_model,
     model_entries,
     pretrain_vqgan,
     reconstruct,
@@ -154,12 +153,11 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.margin == 0.1
         assert cfg.n_prompts == 5
-        assert cfg.weights == LossWeights(sigma=0.25, gamma=0.1, lambda_lcl=0.5)
+        assert (cfg.sigma, cfg.gamma, cfg.lambda_lcl) == (0.25, 0.1, 0.5)
         assert cfg.n_codes == 64 and cfg.code_dim == 32
 
     def test_roundtrip(self, tmp_path):
-        cfg = tiny_cfg(lr=5e-4, use_lapm=False,
-                       weights=LossWeights(sigma=0.3, gamma=0.2, lambda_lcl=0.9))
+        cfg = tiny_cfg(lr=5e-4, use_lapm=False, sigma=0.3, gamma=0.2, lambda_lcl=0.9)
         path = tmp_path / "cfg.txt"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -177,10 +175,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("key", ["lr", "margin", "sigma", "gamma", "lambda_lcl"])
     def test_rejects_non_finite_floats(self, key, value):
         with pytest.raises(ValueError, match=rf"^{key} must be finite"):
-            if key in ("lr", "margin"):
-                TrainConfig(**{key: value})
-            else:
-                LossWeights(**{key: value})
+            TrainConfig(**{key: value})
 
     def test_rejects_nonpositive_counts(self):
         with pytest.raises(ValueError):
@@ -236,6 +231,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="key=value"):
             load_config(path)
 
+    def test_rejects_negative_seed(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            TrainConfig(seed=-1)
+        path = tmp_path / "cfg.txt"
+        path.write_text("seed=-1\n")
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            load_config(path)
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# comment\n\nseed=9\n")
@@ -288,13 +291,20 @@ class TestStage1:
         with pytest.raises(ValueError):
             pretrain_vqgan([], tiny_cfg())
 
+    def test_image_smaller_than_crop_raises_before_any_step(self, tiny_images):
+        fired = []
+        images = tiny_images + [synth_scene(9, 8, 16)]
+        with pytest.raises(ShapeError, match=r"^image 8 has shape \(1, 3, 8, 16\), smaller than crop 16$"):
+            pretrain_vqgan(images, tiny_cfg(), log_hook=lambda *a: fired.append(a))
+        assert fired == []
+
 
 class TestCheckpointing:
     def test_stage1_roundtrip_bit_identical(self, stage1_tiny, tmp_path):
         model, _ = stage1_tiny
         path = tmp_path / "s1.ckpt"
         save_model(model, path)
-        loaded = load_model(path, tiny_cfg())
+        loaded = load_any(path)
         assert isinstance(loaded, Stage1Model)
         for (n1, p1), (n2, p2) in zip(
                 model.encoder.named_params() + model.decoder.named_params() + model.disc.named_params(),
@@ -303,12 +313,12 @@ class TestCheckpointing:
         assert np.array_equal(model.codebook.codes.data, loaded.codebook.codes.data)
         assert np.array_equal(model.codebook.usage, loaded.codebook.usage)
 
-    def test_stage1_size_mismatch_raises(self, stage1_tiny, tmp_path):
+    def test_stage1_size_mismatch_raises(self, stage1_tiny, tiny_pairs, tmp_path):
         model, _ = stage1_tiny
         path = tmp_path / "s1.ckpt"
         save_model(model, path)
         with pytest.raises(CompatibilityError, match="n_codes"):
-            load_model(path, tiny_cfg(n_codes=32))
+            train_enhancer(tiny_pairs, load_any(path), tiny_cfg(n_codes=32))
 
     def test_stage2_roundtrip_preserves_enhance_output(self, stage1_tiny, tiny_pairs, tmp_path):
         model, _ = stage1_tiny
@@ -316,7 +326,7 @@ class TestCheckpointing:
         m2, _ = train_enhancer(tiny_pairs, model, cfg)
         path = tmp_path / "s2.ckpt"
         save_model(m2, path)
-        loaded = load_model(path, cfg)
+        loaded = load_any(path)
         assert isinstance(loaded, Stage2Model)
         before, _ = enhance(tiny_pairs[0].low, m2)
         after, _ = enhance(tiny_pairs[0].low, loaded)
@@ -328,7 +338,7 @@ class TestCheckpointing:
         m2, _ = train_enhancer(tiny_pairs, model, cfg)
         path = tmp_path / "s2.ckpt"
         save_model(m2, path)
-        loaded = load_model(path, tiny_cfg())
+        loaded = load_any(path)
         assert (loaded.cfg.use_fusion, loaded.cfg.use_lqm, loaded.cfg.use_lapm) == (False, False, True)
 
     def test_load_any_accepts_crop_valid_only_without_prompts(self, tmp_path):
@@ -353,7 +363,7 @@ class TestCheckpointing:
         path = tmp_path / "bad.ckpt"
         save_checkpoint({"config/seed": np.asarray(0.0)}, path)
         with pytest.raises(CompatibilityError, match="stage"):
-            load_model(path, tiny_cfg())
+            load_any(path)
 
 
 class TestStage2:
@@ -454,6 +464,15 @@ class TestStage2:
             train_enhancer(tiny_pairs, model, tiny_cfg(n_codes=32))
         with pytest.raises(CompatibilityError):
             train_enhancer(tiny_pairs, model, tiny_cfg(code_dim=16))
+
+    def test_pair_smaller_than_crop_raises_before_any_step(self, stage1_tiny, tiny_pairs):
+        model, _ = stage1_tiny
+        fired = []
+        pairs = tiny_pairs + generate_pairs(1, 12, seed=2)
+        with pytest.raises(ShapeError, match=r"^pair 6 has shape \(1, 3, 12, 12\), smaller than crop 16$"):
+            train_enhancer(pairs, model, tiny_cfg(), step_hook=lambda *a: fired.append(a),
+                           log_hook=lambda *a: fired.append(a))
+        assert fired == []
 
     def test_enhance_deterministic_and_bounded(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny

@@ -10,8 +10,17 @@ under TrainConfig(seed=0, stage1_iters=20, stage2_iters=40, lqm_warmup=3),
 saving both checkpoints.  For each stage the script prints the largest
 relative difference between the two runs' loss rows, how many
 checkpoint tensors are bit-identical, and the largest elementwise
-relative difference over the checkpoint tensors.  It exits 0 when both
-runs finish.
+relative difference over the checkpoint tensors.
+
+It then runs a fixed CLI chain in both trees: synth-data, pretrain and
+train using every override flag (--seed, --config, --iters,
+--codebook-size, --lambda, --prompts, --margin), enhance, analyze-codes on
+both checkpoints, report, and a train whose --codebook-size disagrees with
+its stage-1 checkpoint.  Every path is relative to the chain's own run
+directory, so output from the two trees needs no path rewriting.  It prints
+the exit codes, whether stdout and stderr match (with the differing stderr
+lines), and how many artifact files are byte-identical.  It exits 0 when
+every run finishes.
 """
 
 from __future__ import annotations
@@ -45,6 +54,20 @@ with open(out + "/rows.json", "w") as fh:
     json.dump({"stage1": rows1, "stage2": rows2}, fh)
 """
 
+CLI_CONFIG = "batch_size=2\ncrop=16\nn_codes=32\ncode_dim=8\nbase_channels=4\nd_l=6\nlqm_warmup=2\nn_prompts=5\n"
+TRAIN = ["train", "--data", "data", "--config", "cfg.txt", "--ckpt", "s1/stage1.ckpt", "--iters", "6", "--seed", "2"]
+CLI_CHAIN = [
+    ["synth-data", "--n", "6", "--size", "16", "--seed", "3", "--out", "data"],
+    ["pretrain", "--data", "data", "--config", "cfg.txt", "--iters", "8", "--seed", "1",
+     "--codebook-size", "16", "--out", "s1"],
+    TRAIN + ["--codebook-size", "16", "--lambda", "0.25", "--prompts", "3", "--margin", "0.2", "--out", "s2"],
+    ["enhance", "--ckpt", "s2/stage2.ckpt", "--images", "data", "--out", "enhanced"],
+    ["analyze-codes", "--ckpt", "s1/stage1.ckpt", "--images", "data", "--out", "codes1"],
+    ["analyze-codes", "--ckpt", "s2/stage2.ckpt", "--images", "data", "--out", "codes2"],
+    ["report", "--ckpt", "s2/stage2.ckpt", "--data", "data", "--out", "report"],
+    TRAIN + ["--out", "mismatch"],  # config's n_codes=32 against a 16-code stage 1: exits 2
+]
+
 
 def run_tree(tree: Path, out: Path) -> dict:
     """Run the fixed training in tree's src/, writing into out; returns the loss rows."""
@@ -53,6 +76,24 @@ def run_tree(tree: Path, out: Path) -> dict:
     subprocess.run([sys.executable, "-c", RUN, str(out)], env=env, cwd=tree, check=True)
     with open(out / "rows.json") as fh:
         return json.load(fh)
+
+
+def run_cli(tree: Path, work: Path) -> list[tuple[int, str, str]]:
+    """Run CLI_CHAIN with tree's src/ inside work; (exit code, stdout, stderr) per command."""
+    work.mkdir(parents=True)
+    (work / "cfg.txt").write_text(CLI_CONFIG)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1", LUMIQ_LOG_LEVEL="info")
+    results = []
+    for argv in CLI_CHAIN:
+        done = subprocess.run([sys.executable, "-m", "lumiq.cli", *argv], env=env, cwd=work,
+                              capture_output=True, text=True)
+        results.append((done.returncode, done.stdout, done.stderr))
+    return results
+
+
+def read_tree(root: Path) -> dict[str, bytes]:
+    """Relative path -> bytes for every file under root."""
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
 def max_relative_difference(a, b) -> float:
@@ -101,6 +142,27 @@ def main(argv: list[str]) -> int:
             print(f"{stage}: {len(rows_now[stage])} loss rows, max relative difference {diff:.3g}; "
                   f"{same} of {total} checkpoint tensors bit-identical, "
                   f"max elementwise relative difference {worst:.3g}")
+
+        cli_rev = run_cli(rev_tree, tmp / "cli_rev")
+        cli_now = run_cli(ROOT, tmp / "cli_now")
+        print(f"cli: {len(CLI_CHAIN)} commands; exit codes {[r[0] for r in cli_rev]} at {rev}, "
+              f"{[r[0] for r in cli_now]} here")
+        print(f"cli: stdout {'identical' if [r[1] for r in cli_rev] == [r[1] for r in cli_now] else 'DIFFERS'}")
+        for argv, (_, _, err_rev), (_, _, err_now) in zip(CLI_CHAIN, cli_rev, cli_now):
+            if err_rev != err_now:
+                lines_rev, lines_now = err_rev.splitlines(), err_now.splitlines()
+                print(f"cli: stderr differs for {' '.join(argv)}")
+                for line in lines_rev:
+                    if line not in lines_now:
+                        print(f"  - {line}")
+                for line in lines_now:
+                    if line not in lines_rev:
+                        print(f"  + {line}")
+        files_rev, files_now = read_tree(tmp / "cli_rev"), read_tree(tmp / "cli_now")
+        names = sorted(files_rev.keys() | files_now.keys())
+        differing = [name for name in names if files_rev.get(name) != files_now.get(name)]
+        print(f"cli: {len(names) - len(differing)} of {len(names)} artifact files byte-identical"
+              + (f"; differing: {', '.join(differing)}" if differing else ""))
     return 0
 
 
