@@ -319,22 +319,77 @@ def softmax_channels(x: Tensor) -> Tensor:
 # spatial ops
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(b, c, h, w) -> (b, oh, ow, c*k*k) patch rows, zero-padded by pad.
+def _pad_channels_last(x: np.ndarray, pad: int) -> np.ndarray:
+    """(b, c, h, w) -> (b, h+2*pad, w+2*pad, c) zero-padded copy.
 
-    The padded copy is channels-last: conv outputs already live in that
-    memory order, so the copy streams instead of transposing.
+    Channels-last: conv outputs already live in that memory order, so the
+    copy streams instead of transposing.
     """
     b, c, h, w = x.shape
-    x = x.transpose(0, 2, 3, 1)
-    if pad:
-        padded = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
-        padded[:, pad : pad + h, pad : pad + w] = x
-        x = padded
-    windows = sliding_window_view(x, (k, k), axis=(1, 2))[:, ::stride, ::stride]
-    oh, ow = windows.shape[1], windows.shape[2]
-    cols = windows.reshape(b, oh, ow, c * k * k)
-    return cols, oh, ow
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _correlate(xp: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """Stride-1 cross-correlation of a padded channels-last buffer.
+
+    xp (b, hp, wp, c_in), taps wt (k, k, c_in, c_out) -> (b, oh, ow, c_out)
+    view.  Over the buffer's flat rows, tap (i, j) is one GEMM against the
+    rows shifted by i*wp + j; rows that wrap past a row or batch end are
+    computed and dropped.
+    """
+    b, hp, wp, c_in = xp.shape
+    k, c_out = wt.shape[0], wt.shape[3]
+    flat = xp.reshape(-1, c_in)
+    n = flat.shape[0] - (k - 1) * wp - (k - 1)
+    acc = np.empty((b * hp * wp, c_out))
+    np.dot(flat[:n], wt[0, 0], out=acc[:n])
+    for i in range(k):
+        for j in range(k):
+            if i or j:
+                off = i * wp + j
+                acc[:n] += np.dot(flat[off : off + n], wt[i, j])
+    return acc.reshape(b, hp, wp, c_out)[:, : hp - k + 1, : wp - k + 1]
+
+
+# Longest reduction one BLAS call may sum.  OpenBLAS splits a longer one
+# into blocks that depend on its thread count, which would make a weight
+# gradient (a sum over every output position) differ between thread counts;
+# a call of at most 256 is summed in one block at any count.
+_REDUCE_ROWS = 256
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.T @ b for a (n, p), b (n, q): blocks of _REDUCE_ROWS rows, summed in order."""
+    # np.dot, not @: matmul takes a slow non-BLAS loop for a single row
+    out = np.dot(a[:_REDUCE_ROWS].T, b[:_REDUCE_ROWS])
+    for s in range(_REDUCE_ROWS, a.shape[0], _REDUCE_ROWS):
+        out += np.dot(a[s : s + _REDUCE_ROWS].T, b[s : s + _REDUCE_ROWS])
+    return out
+
+
+def _correlate_weight_grad(xp: np.ndarray, gm: np.ndarray, k: int) -> np.ndarray:
+    """Weight gradient (c_out, c_in, k, k) of _correlate(xp, .) for output grad gm (b, oh, ow, c_out).
+
+    gm is laid on the zeroed padded grid so each tap is one GEMM against
+    the same shifted rows as the forward pass; wrapped rows meet zeros.
+    """
+    b, hp, wp, c_in = xp.shape
+    _, oh, ow, c_out = gm.shape
+    grid = np.zeros((b, hp, wp, c_out))
+    grid[:, :oh, :ow] = gm
+    flat = xp.reshape(-1, c_in)
+    n = flat.shape[0] - (k - 1) * wp - (k - 1)
+    gflat = grid.reshape(-1, c_out)[:n]
+    taps = [_dot_rows(gflat, flat[i * wp + j : i * wp + j + n]) for i in range(k) for j in range(k)]
+    return np.stack(taps).reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """(b, c, h, w) -> (b, oh, ow, c*k*k) patch rows, zero-padded by pad."""
+    windows = sliding_window_view(_pad_channels_last(x, pad), (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    return windows.reshape(*windows.shape[:3], x.shape[1] * k * k)
 
 
 def _col2im(cols: np.ndarray, xshape, k: int, stride: int, pad: int) -> np.ndarray:
@@ -356,6 +411,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     """2-d cross-correlation with zero padding.
 
     x (b, c_in, h, w), weight (c_out, c_in, k, k), bias (c_out,) or None.
+    Stride 1 runs k*k shifted GEMMs over one padded channels-last copy of
+    x (forward, input gradient and weight gradient); larger strides use
+    im2col patch rows.  The output is a channels-last array viewed as
+    (b, c_out, oh, ow).
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input and kernel, got {x.data.shape} and {weight.data.shape}")
@@ -367,32 +426,37 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise ShapeError(f"conv2d: kernel must be square, got {weight.data.shape}")
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ShapeError(f"conv2d: kernel {k}x{k} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
-    cols, oh, ow = _im2col(x.data, k, stride, pad)
-    wmat = weight.data.reshape(c_out, c_in * k * k)
-    res = cols @ wmat.T  # (b, oh, ow, c_out)
-    if bias is not None:
-        res = res + bias.data
-    out_data = res.transpose(0, 3, 1, 2)
+    if stride == 1:
+        xp = _pad_channels_last(x.data, pad)
+        res = _correlate(xp, weight.data.transpose(2, 3, 1, 0))
+    else:
+        cols = _im2col(x.data, k, stride, pad)
+        wmat = weight.data.reshape(c_out, c_in * k * k)
+        res = cols @ wmat.T
+    oh, ow = res.shape[1], res.shape[2]
+    res = res + bias.data if bias is not None else np.ascontiguousarray(res)  # (b, oh, ow, c_out)
     inputs = (x, weight, bias) if bias is not None else (x, weight)
-    out = _result(out_data, inputs)
+    out = _result(res.transpose(0, 3, 1, 2), inputs)
 
     def grad_fn(g):
         gm = g.transpose(0, 2, 3, 1)  # (b, oh, ow, c_out)
         dx = dw = db = None
-        if x.requires_grad and stride == 1:
-            # transposed convolution: the output gradient, padded by k-1-pad
-            # (cropped when pad > k-1), correlated with the flipped kernel
-            edge = k - 1 - pad
-            if edge < 0:
-                g, edge = g[:, :, -edge : oh + edge, -edge : ow + edge], 0
-            gcols = _im2col(g, k, 1, edge)[0]  # (b, h, w, c_out*k*k)
-            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, c_out * k * k)
-            dx = (gcols @ wflip.T).transpose(0, 3, 1, 2)
-        elif x.requires_grad:
-            dx = _col2im(gm @ wmat, x.data.shape, k, stride, pad)
-        if weight.requires_grad:
-            # np.dot, not @: matmul takes a slow non-BLAS loop for a single row
-            dw = np.dot(gm.reshape(-1, c_out).T, cols.reshape(-1, c_in * k * k)).reshape(weight.data.shape)
+        if stride == 1:
+            if x.requires_grad:
+                # transposed convolution: the output gradient, padded by k-1-pad
+                # (cropped when pad > k-1), correlated with the flipped kernel
+                edge = k - 1 - pad
+                if edge < 0:
+                    g, edge = g[:, :, -edge : oh + edge, -edge : ow + edge], 0
+                wflip = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+                dx = _correlate(_pad_channels_last(g, edge), wflip).transpose(0, 3, 1, 2)
+            if weight.requires_grad:
+                dw = _correlate_weight_grad(xp, gm, k)
+        else:
+            if x.requires_grad:
+                dx = _col2im(gm @ wmat, x.data.shape, k, stride, pad)
+            if weight.requires_grad:
+                dw = _dot_rows(gm.reshape(-1, c_out), cols.reshape(-1, c_in * k * k)).reshape(weight.data.shape)
         if bias is not None and bias.requires_grad:
             db = gm.sum(axis=(0, 1, 2))
         return (dx, dw, db) if bias is not None else (dx, dw)

@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, check_gradients
+from .autodiff import ShapeError, Tensor, check_gradients
 from .codebook import Codebook, codebook_matching_loss, export_histogram_csv, quantize_nearest
 from .data import DegradeParams, ImagePair, generate_pairs, read_image, write_image
 from .lapm import PromptBank, compose_prompt, inject_prompt, prompt_weights
@@ -44,6 +44,7 @@ from .training import (
     load_config,
     pretrain_vqgan,
     reconstruct,
+    require_crop,
     save_model,
     train_enhancer,
     write_stage1_log,
@@ -178,6 +179,14 @@ def read_manifest(data_dir: str) -> list[ImagePair]:
     return pairs
 
 
+def require_dataset_crop(pairs: list[ImagePair], crop: int, data_dir: str) -> None:
+    """Reject a dataset with an image smaller than crop as a usage error, before --out exists."""
+    try:
+        require_crop([pair.low.data.shape for pair in pairs], crop, "pair")
+    except ShapeError as err:
+        raise UsageError(f"{os.path.join(data_dir, MANIFEST_NAME)}: {err}") from err
+
+
 def list_ppm_inputs(path: str) -> list[str]:
     if os.path.isdir(path):
         names = sorted(n for n in os.listdir(path) if n.endswith(".ppm"))
@@ -203,6 +212,7 @@ def cmd_synth_data(args, cfg: TrainConfig) -> int:
 
 def cmd_pretrain(args, cfg: TrainConfig) -> int:
     pairs = read_manifest(args.data)
+    require_dataset_crop(pairs, cfg.crop, args.data)
     images = [pair.normal for pair in pairs]
     os.makedirs(args.out, exist_ok=True)
     every = max(1, cfg.stage1_iters // 10)
@@ -225,7 +235,8 @@ def cmd_train(args, cfg: TrainConfig) -> int:
     stage1 = load_any(args.ckpt)
     if not isinstance(stage1, Stage1Model):
         raise UsageError(f"{args.ckpt} is not a stage-1 checkpoint")
-    check_stage1_sizes(stage1, cfg)  # before --out exists; train_enhancer repeats it for library callers
+    check_stage1_sizes(stage1, cfg)  # before --out exists; train_enhancer repeats both for library callers
+    require_dataset_crop(pairs, cfg.crop, args.data)
     os.makedirs(args.out, exist_ok=True)
     every = max(1, cfg.stage2_iters // 10)
 
@@ -321,6 +332,9 @@ def gradcheck_cases(seed: int):
     cases.append(("conv2d/weight", lambda t: ad.sum_all(ad.square(ad.conv2d(x_img, t, b, pad=1))), w))
     cases.append(("conv2d/bias", lambda t: ad.sum_all(ad.square(ad.conv2d(x_img, w, t, pad=1))), b))
     cases.append(("conv2d/strided", lambda t: ad.sum_all(ad.square(ad.conv2d(t, w, b, stride=2, pad=1))), x_img))
+    cases.append(("conv2d/weight-unpadded", lambda t: ad.sum_all(ad.square(ad.conv2d(x_img, t, b))), w))
+    w_1x1 = Tensor(w.data[:, :, 1:2, 1:2])  # a slice of w, so later probes draw as before
+    cases.append(("conv2d/1x1", lambda t: ad.sum_all(ad.square(ad.conv2d(t, w_1x1, b))), x_img))
     cases.append(("avg_pool2d", lambda t: ad.sum_all(ad.square(ad.avg_pool2d(t, 2))), x_img))
     cases.append(("upsample_nearest", lambda t: ad.sum_all(ad.square(ad.upsample_nearest(t, 2))), x_img))
     cases.append(("unfold_fold", lambda t: ad.sum_all(ad.square(ad.fold(ad.unfold(t, 3), 2, 2))), x_img))

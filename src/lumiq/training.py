@@ -78,10 +78,17 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: OptimizerSta
     return params
 
 
-def _step_group(named_params, state: OptimizerState) -> None:
-    """Collect grads for a trainable group, apply Adam, clear grads."""
+def _step_group(named_params, state: OptimizerState, group: str) -> None:
+    """Collect grads for a trainable group, apply Adam, clear grads.
+
+    A non-finite gradient raises DivergenceError naming the group before
+    Adam runs, so the parameters and the optimizer state stay as they were.
+    """
     params = [p for _, p in named_params]
     grads = [p.grad_array() for p in params]
+    for (name, _), g in zip(named_params, grads):
+        if not np.isfinite(g).all():
+            raise DivergenceError(f"{group} group: gradient of {name} is not finite")
     adam_step(params, grads, state)
     ad.zero_grads(params)
 
@@ -98,7 +105,7 @@ def _disc_step(disc: Discriminator, real: Tensor, fake: Tensor, gamma: float, gr
     if not np.isfinite(loss.data):
         raise DivergenceError(f"{where}: discriminator loss is not finite")
     ad.backward(loss, tape)
-    _step_group(group, opt)
+    _step_group(group, opt, f"{where}: discriminator")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +352,7 @@ def check_stage1_sizes(stage1: Stage1Model, cfg: TrainConfig) -> None:
 # batching helpers
 
 
-def _require_crop(shapes, crop: int, kind: str) -> None:
+def require_crop(shapes, crop: int, kind: str) -> None:
     """Raise ShapeError naming the first image shape with a side shorter than crop."""
     for i, shape in enumerate(shapes):
         if min(shape[2:]) < crop:
@@ -384,7 +391,7 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
     """
     if not images:
         raise ValueError("pretrain_vqgan needs a non-empty image list")
-    _require_crop([image.data.shape for image in images], cfg.crop, "image")
+    require_crop([image.data.shape for image in images], cfg.crop, "image")
     rng = np.random.default_rng(cfg.seed)
     model = Stage1Model.build(cfg, np.random.default_rng(rng.integers(0, 2**31)))
     gen_group = (model.encoder.named_params() + model.decoder.named_params()
@@ -411,7 +418,7 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
             except DivergenceError as err:
                 raise DivergenceError(f"stage 1 step {step}: {err}") from err
         ad.backward(l_total, tape)
-        _step_group(gen_group, gen_opt)
+        _step_group(gen_group, gen_opt, f"stage 1 step {step}: generator")
         _disc_step(model.disc, I_h, I_rec, cfg.gamma, disc_group, disc_opt, f"stage 1 step {step}")
 
         rows.append((step, l_mae.item(), l_cma.item(), l_adv.item(), l_total.item()))
@@ -473,7 +480,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     if not pairs:
         raise ValueError("train_enhancer needs a non-empty pair list")
     check_stage1_sizes(stage1, cfg)
-    _require_crop([pair.low.data.shape for pair in pairs], cfg.crop, "pair")
+    require_crop([pair.low.data.shape for pair in pairs], cfg.crop, "pair")
     step_hook = step_hook or (lambda phase, step, model: None)
     rng = np.random.default_rng(cfg.seed + 1)
     model = _stage2_model(copy.deepcopy(stage1), cfg, np.random.default_rng(rng.integers(0, 2**31)))
@@ -499,7 +506,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
         if not np.isfinite(loss.data):
             raise DivergenceError(f"stage 2 step {step}: LQM loss is not finite")
         ad.backward(loss, tape)
-        _step_group(lqm_group, lqm_opt)
+        _step_group(lqm_group, lqm_opt, f"stage 2 step {step}: LQM")
         set_trainable(lqm_group, False)
         step_hook("lqm", step, model)
 
@@ -538,7 +545,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
             except DivergenceError as err:
                 raise DivergenceError(f"stage 2 step {step}: {err}") from err
         ad.backward(l_total, tape)
-        _step_group(enhancer_group, enh_opt)
+        _step_group(enhancer_group, enh_opt, f"stage 2 step {step}: enhancer")
         step_hook("enhancer", step, model)
 
         _disc_step(model.disc, I_nl, I_rec, cfg.gamma, disc_group, disc_opt, f"stage 2 step {step}")

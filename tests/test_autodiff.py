@@ -1,5 +1,9 @@
 """Tensor engine tests: forward oracles and finite-difference gradient checks."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,6 +68,17 @@ def away_from_kinks(rng, shape, margin=0.1):
     return x * rng.choice([-1.0, 1.0], size=shape)
 
 
+# stride-1 shapes for the shifted-GEMM path: rows wrapping across batch
+# boundaries (b=3), k=1 unpadded, pad > k-1, a 1x1 output, a non-square input
+SHIFTED_CASES = [
+    ((3, 2, 5, 5), (4, 2, 3, 3), 1),
+    ((2, 3, 5, 5), (4, 3, 1, 1), 0),
+    ((2, 2, 5, 5), (3, 2, 3, 3), 3),
+    ((2, 3, 3, 3), (4, 3, 3, 3), 0),
+    ((2, 3, 9, 6), (4, 3, 3, 3), 1),
+]
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -95,6 +110,57 @@ class TestConv2d:
         b = rng.normal(size=3)
         out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
         np.testing.assert_allclose(out.data, conv_oracle(x, w, b, stride, pad), atol=1e-12)
+
+    @pytest.mark.parametrize("xshape,wshape,pad", SHIFTED_CASES)
+    def test_shifted_path_matches_oracle(self, xshape, wshape, pad):
+        rng = np.random.default_rng(sum(xshape) + sum(wshape) + pad)
+        x = rng.normal(size=xshape)
+        w = rng.normal(size=wshape)
+        b = rng.normal(size=wshape[0])
+        for bias in (b, None):
+            out = ad.conv2d(Tensor(x), Tensor(w), None if bias is None else Tensor(bias), pad=pad)
+            np.testing.assert_allclose(out.data, conv_oracle(x, w, bias, 1, pad), atol=1e-12)
+
+    def test_channels_last_view_input(self):
+        # conv outputs are channels-last arrays viewed as (b, c, h, w)
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(3, 6, 5, 2)).transpose(0, 3, 1, 2), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+        b = rng.normal(size=4)
+        tape = Tape()
+        with tape:
+            out = ad.conv2d(x, w, Tensor(b), pad=1)
+            weights = Tensor(rng.normal(size=out.data.shape))
+            loss = ad.sum_all(ad.mul(out, weights))
+        ad.backward(loss, tape)
+        np.testing.assert_allclose(out.data, conv_oracle(x.data, w.data, b, 1, 1), atol=1e-12)
+        dx, dw = conv_backward_oracle(x.data, w.data, weights.data, 1, 1)
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12 * np.abs(dx).max())
+        np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12 * np.abs(dw).max())
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_output_is_compact_channels_last(self, stride):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)))
+        for bias in (Tensor(rng.normal(size=4)), None):
+            out = ad.conv2d(x, w, bias, stride=stride, pad=1)
+            assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+
+    def test_stride1_never_builds_patch_rows(self, monkeypatch):
+        def no_im2col(*args):
+            raise AssertionError("stride-1 conv2d called _im2col")
+
+        monkeypatch.setattr(ad, "_im2col", no_im2col)
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        tape = Tape()
+        with tape:
+            loss = ad.sum_all(ad.square(ad.conv2d(x, w, b, pad=1)))
+        ad.backward(loss, tape)
+        assert x.grad is not None and w.grad is not None and b.grad is not None
 
     def test_channel_mismatch_names_both_shapes(self):
         x = Tensor(np.zeros((1, 3, 4, 4)))
@@ -154,6 +220,11 @@ class TestConv2d:
         ((2, 3, 5, 5), (4, 3, 1, 1), 1, 1),
         ((2, 3, 9, 6), (4, 3, 3, 3), 1, 1),
         ((2, 3, 9, 6), (4, 3, 3, 3), 2, 1),
+        # the shifted-path cases the list above does not already hold
+        ((3, 2, 5, 5), (4, 2, 3, 3), 1, 1),
+        ((2, 3, 5, 5), (4, 3, 1, 1), 1, 0),
+        ((2, 2, 5, 5), (3, 2, 3, 3), 1, 3),
+        ((2, 3, 3, 3), (4, 3, 3, 3), 1, 0),
     ])
     def test_backward_matches_scatter_oracle(self, xshape, wshape, stride, pad):
         rng = np.random.default_rng(sum(xshape) + sum(wshape) + stride + pad)
@@ -488,6 +559,33 @@ class TestDeterminism:
         r1 = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, pad=1).data
         r2 = ad.conv2d(Tensor(x.copy()), Tensor(w.copy()), Tensor(b.copy()), stride=2, pad=1).data
         np.testing.assert_array_equal(r1, r2)
+
+    def test_conv_weight_grad_independent_of_blas_threads(self):
+        # weight-gradient reductions of 1258 (stride 1) and 900 (stride 2) rows,
+        # lengths that multi-threaded OpenBLAS blocks differently from one thread
+        script = (
+            "import hashlib, numpy as np\n"
+            "from lumiq import autodiff as ad\n"
+            "rng = np.random.default_rng(5)\n"
+            "for xs, ws, stride in [((4, 32, 16, 16), (32, 32, 3, 3), 1), ((4, 8, 30, 30), (16, 8, 3, 3), 2)]:\n"
+            "    x = ad.Tensor(rng.normal(size=xs))\n"
+            "    w = ad.Tensor(rng.normal(size=ws), requires_grad=True)\n"
+            "    tape = ad.Tape()\n"
+            "    with tape:\n"
+            "        loss = ad.sum_all(ad.square(ad.conv2d(x, w, stride=stride, pad=1)))\n"
+            "    ad.backward(loss, tape)\n"
+            "    print(hashlib.sha256(w.grad.tobytes()).hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(ad.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        assert digests[0] == digests[1]
 
     def test_no_recording_without_tape(self):
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)

@@ -183,6 +183,18 @@ class TestTrainingCommands:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "train"])
+    def test_image_smaller_than_crop_exits_1_before_out_dir(self, workspace, tmp_path, capsys, command):
+        cfg_path = tmp_path / "crop32.txt"
+        cfg_path.write_text(workspace["cfg_path"].read_text().replace("crop=16", "crop=32"))
+        out = tmp_path / "x"
+        ckpt = ["--ckpt", str(workspace["s1"])] if command == "train" else []
+        assert run([command, "--data", str(workspace["data"]), "--config", str(cfg_path),
+                    *ckpt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "manifest.csv: pair 0 has shape" in err and "crop 32" in err
+        assert not out.exists()
+
     def test_missing_data_dir_exits_2(self, workspace, tmp_path):
         code = run(["pretrain", "--data", str(tmp_path / "nope"),
                     "--config", str(workspace["cfg_path"]), "--out", str(tmp_path / "x")])

@@ -14,6 +14,7 @@ from lumiq.training import (
     Stage1Model,
     Stage2Model,
     TrainConfig,
+    _step_group,
     adam_step,
     enhance,
     evaluate_pairs,
@@ -121,6 +122,22 @@ class TestAdam:
         for _ in range(500):
             adam_step([p], [np.asarray(2.0 * p.data)], state)
         assert abs(float(p.data)) < 1e-2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grad_raises_before_update(self, bad):
+        rng = np.random.default_rng(2)
+        group = [("enc.w", Tensor(rng.normal(size=(3, 4)), requires_grad=True)),
+                 ("enc.b", Tensor(rng.normal(size=4), requires_grad=True))]
+        for _, p in group:
+            p.grad = np.ones_like(p.data)
+        group[1][1].grad[2] = bad
+        before = [p.data.copy() for _, p in group]
+        state = OptimizerState([p for _, p in group], lr=0.1)
+        with pytest.raises(DivergenceError, match="step 3: enhancer group: gradient of enc.b"):
+            _step_group(group, state, "step 3: enhancer")
+        for b, (_, p) in zip(before, group):
+            assert np.array_equal(b, p.data)
+        assert state.step_count == 0 and not state.m[0].any()
 
     def test_grad_shape_mismatch_raises(self):
         p = Tensor(np.zeros((2, 2)), requires_grad=True)
