@@ -39,6 +39,7 @@ from .training import (
     check_stage1_sizes,
     config_lines,
     enhance,
+    fit_image,
     format_value,
     load_any,
     load_config,
@@ -276,7 +277,7 @@ def cmd_analyze_codes(args, cfg: TrainConfig) -> int:
     model.codebook.reset_usage()
     positions = 0
     for path in list_ppm_inputs(args.images):
-        Z, _ = encoder.forward(read_image(path))
+        Z, _ = encoder.forward(fit_image(read_image(path), model.cfg.n_down, prompts=False))
         quantize_nearest(Z, model.codebook, update_usage=True)
         positions += Z.data.shape[0] * Z.data.shape[2] * Z.data.shape[3]
     os.makedirs(args.out, exist_ok=True)

@@ -60,6 +60,16 @@ def quantize_nearest(Z: Tensor, codebook: Codebook, update_usage: bool = True) -
 
     Nearest means minimum squared Euclidean distance, ties broken by the
     lowest code index.  Output vectors are bit-identical to code rows.
+
+    Each slab is screened with the expansion ||x||^2 - 2 x.c + ||c||^2 as one
+    GEMM.  tol bounds how far the expansion and the exact sum of squared
+    differences can each lie from the true distance: a relative term in
+    ||x||^2 + ||c||^2 for rounding plus an absolute term for subnormal
+    underflow.  A row keeps the screen's pick only when its screened
+    distances are all finite and no other code lies within both tolerances
+    of the pick; the exact sum then picks the same code.  Every other row
+    (near ties, duplicate codes, NaN, inf, overflow, underflow) is scored
+    again with the exact sum.
     """
     if Z.data.ndim != 4:
         raise ShapeError(f"quantize_nearest needs a 4-d input, got {Z.data.shape}")
@@ -69,13 +79,31 @@ def quantize_nearest(Z: Tensor, codebook: Codebook, update_usage: bool = True) -
     vecs = Z.data.transpose(0, 2, 3, 1).reshape(-1, d)
     codes = codebook.codes.data
     idx = np.empty(vecs.shape[0], dtype=np.int64)
-    for lo in range(0, vecs.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, vecs.shape[0])
-        diff = vecs[lo:hi, None, :] - codes[None, :, :]
-        d2 = np.einsum("pkd,pkd->pk", diff, diff)
-        idx[lo:hi] = d2.argmin(axis=1)  # argmin keeps the first (lowest) index on ties
+    # either formula lies within (d + 2) * eps * (||x||^2 + ||c||^2) of the true
+    # distance, by the usual dot-product error bound; the tolerance is 4x that
+    rel = 8 * (d + 4) * np.finfo(np.float64).eps
+    with np.errstate(all="ignore"):
+        c2 = np.einsum("kd,kd->k", codes, codes)
+        for lo in range(0, vecs.shape[0], _CHUNK):
+            v = vecs[lo : lo + _CHUNK]
+            x2 = np.einsum("pd,pd->p", v, v)
+            approx = x2[:, None] - 2.0 * np.dot(v, codes.T) + c2
+            sel = approx.argmin(axis=1)
+            tol = rel * (x2[:, None] + c2) + 1e-300
+            rows = np.arange(len(v))
+            bound = approx[rows, sel] + tol[rows, sel]
+            near = np.count_nonzero(approx <= bound[:, None] + tol, axis=1)
+            keep = (near == 1) & np.isfinite(approx).all(axis=1)
+            redo = np.flatnonzero(~keep)
+            if redo.size:
+                # v[redo] is a C-ordered copy, so the sum order, and the pick on
+                # an exact tie, do not depend on Z's memory layout; argmin keeps
+                # the first (lowest) index on ties
+                diff = v[redo, None, :] - codes[None, :, :]
+                sel[redo] = np.einsum("pkd,pkd->pk", diff, diff).argmin(axis=1)
+            idx[lo : lo + len(v)] = sel
     if update_usage:
-        np.add.at(codebook.usage, idx, 1)
+        codebook.usage += np.bincount(idx, minlength=codebook.n_codes)
     gathered = codes[idx].reshape(b, m, n, d).transpose(0, 3, 1, 2)
     indices = idx.reshape(b, m, n)
 
@@ -85,9 +113,11 @@ def quantize_nearest(Z: Tensor, codebook: Codebook, update_usage: bool = True) -
     lookup = Tensor(gathered.copy(), requires_grad=codebook.codes.requires_grad)
 
     def scatter_grad(g):
-        dc = np.zeros_like(codes)
-        np.add.at(dc, idx, g.transpose(0, 2, 3, 1).reshape(-1, d))
-        return (dc,)
+        # one weighted bincount over (code, dim) bins adds each bin's rows in
+        # row order from 0.0, as np.add.at would
+        bins = (idx[:, None] * d + np.arange(d)).reshape(-1)
+        dc = np.bincount(bins, weights=g.transpose(0, 2, 3, 1).reshape(-1), minlength=codes.size)
+        return (dc.reshape(codes.shape),)
 
     ad.record(lookup, (codebook.codes,), scatter_grad)
     return QuantizeResult(quantized, lookup, indices)

@@ -35,10 +35,6 @@ class NetworkConfig:
         """Channels of the encoder's skip feature at each tap."""
         return [self.base_channels * 2 ** i for i in range(self.n_down)]
 
-    def tap_sides(self, side: int) -> list[int]:
-        """Side of the encoder's skip feature at each tap for a side x side input."""
-        return [side // 2 ** (i + 1) for i in range(self.n_down)]
-
 
 class Conv:
     """3x3 (or kxk) conv layer with fan-in-scaled uniform init."""

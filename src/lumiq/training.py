@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import itertools
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -109,6 +110,42 @@ def _disc_step(disc: Discriminator, real: Tensor, fake: Tensor, gamma: float, gr
 
 
 # ---------------------------------------------------------------------------
+# input shapes
+
+
+def input_shape_problem(h: int, w: int, n_down: int, prompts: bool) -> str | None:
+    """Why the model cannot take h x w inputs, or None when it can.
+
+    Both sides must be multiples of 2**n_down.  With prompts, the pooling
+    patch each tap level derives from its height must also divide both
+    sides of that level's features.
+    """
+    factor = 2 ** n_down
+    if h % factor or w % factor:
+        return f"is not a multiple of 2**n_down={factor}"
+    for level in range(n_down if prompts else 0):
+        th, tw = h >> (level + 1), w >> (level + 1)
+        patch = prompt_patch(th)
+        if th % patch or tw % patch:
+            return f"gives {th}x{tw} features at tap level {level}, not divisible by its prompt patch {patch}"
+    return None
+
+
+def fit_image(image: Tensor, n_down: int, prompts: bool) -> Tensor:
+    """image reflect-padded at the bottom and right to the smallest shape the
+    model takes: the least accepted height, then the least width accepted
+    with it.  An image that already fits is returned as is, uncopied."""
+    if image.data.ndim != 4:
+        return image  # the encoder names the bad shape
+    h, w = image.data.shape[2:]
+    H = next(s for s in itertools.count(h) if input_shape_problem(s, s, n_down, prompts) is None)
+    W = next(s for s in itertools.count(w) if input_shape_problem(H, s, n_down, prompts) is None)
+    if (H, W) == (h, w):
+        return image
+    return Tensor(np.pad(image.data, ((0, 0), (0, 0), (0, H - h), (0, W - w)), mode="reflect"))
+
+
+# ---------------------------------------------------------------------------
 # config
 
 
@@ -152,14 +189,9 @@ class TrainConfig:
                 raise ValueError(f"{key} must be non-negative, got {getattr(self, key)!r}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr!r}")
-        factor = 2 ** self.n_down
-        if self.crop % factor:
-            raise ValueError(f"crop={self.crop} is not a multiple of 2**n_down={factor}")
-        if self.use_lapm:
-            for level, side in enumerate(self.network_config().tap_sides(self.crop)):
-                if side % prompt_patch(side):
-                    raise ValueError(f"crop={self.crop} gives {side}x{side} features at tap level {level}, "
-                                     f"not divisible by its prompt patch {prompt_patch(side)}")
+        problem = input_shape_problem(self.crop, self.crop, self.n_down, self.use_lapm)
+        if problem:
+            raise ValueError(f"crop={self.crop} {problem}")
 
     def network_config(self) -> NetworkConfig:
         return NetworkConfig(base_channels=self.base_channels, n_down=self.n_down,
@@ -558,10 +590,17 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
 
 
 def enhance(image: Tensor, model: Stage2Model, update_usage: bool = False):
-    """Single deterministic forward pass of the trained enhancer."""
-    Z, skips = model.encoder.forward(image)
+    """Single deterministic forward pass of the trained enhancer.
+
+    Any image size: the input runs through fit_image and the output is
+    cropped back to it; the match result covers the padded code grid.
+    """
+    Z, skips = model.encoder.forward(fit_image(image, model.cfg.n_down, model.prompts is not None))
     res = quantize_nearest(Z, model.codebook, update_usage=update_usage)
     out = model.decoder.forward(res.quantized, skips, prompts=model.prompts)
+    h, w = image.data.shape[2:]
+    if out.data.shape[2:] != (h, w):
+        out = Tensor(np.ascontiguousarray(out.data[:, :, :h, :w]))
     return out, res
 
 

@@ -243,12 +243,16 @@ class TestEnhance:
         assert code == 2
         assert "byte offset" in capsys.readouterr().err
 
-    def test_indivisible_size_exits_2(self, workspace, tmp_path):
+    @pytest.mark.parametrize("side, padded", [(15, 16), (30, 32), (36, 40), (44, 48)])
+    def test_any_size_is_padded_and_cropped_back(self, workspace, tmp_path, side, padded):
         odd = tmp_path / "odd.ppm"
-        write_image(odd, synth_scene(0, 15, 15))
-        code = run(["enhance", "--ckpt", str(workspace["s2"]), "--images", str(odd),
-                    "--out", str(tmp_path / "x")])
-        assert code == 2
+        write_image(odd, synth_scene(0, side, side))
+        out = tmp_path / "x"
+        assert run(["enhance", "--ckpt", str(workspace["s2"]), "--images", str(odd),
+                    "--out", str(out)]) == 0
+        assert read_image(out / "enhanced_odd.ppm").data.shape == (1, 3, side, side)
+        lines = (out / "histogram.csv").read_text().strip().split("\n")
+        assert sum(int(l.split(",")[1]) for l in lines[1:]) == (padded // 4) ** 2
 
 
 class TestAnalyzeCodes:
@@ -261,6 +265,16 @@ class TestAnalyzeCodes:
         # 12 PPM files, each 16x16 with two halvings -> 4x4 = 16 positions
         assert sum(counts) == 12 * 16
         assert len(counts) == 16
+
+    @pytest.mark.parametrize("ckpt", ["s1", "s2"])
+    def test_off_size_image_counts_the_padded_grid(self, workspace, tmp_path, ckpt):
+        odd = tmp_path / "odd.ppm"
+        write_image(odd, synth_scene(0, 30, 30))
+        out = tmp_path / "codes"
+        assert run(["analyze-codes", "--ckpt", str(workspace[ckpt]), "--images", str(odd),
+                    "--out", str(out)]) == 0
+        lines = (out / "histogram.csv").read_text().strip().split("\n")
+        assert sum(int(l.split(",")[1]) for l in lines[1:]) == 8 * 8  # padded to 32x32
 
     def test_works_on_stage1_ckpt(self, workspace, tmp_path):
         out = tmp_path / "codes1"
@@ -282,6 +296,13 @@ class TestReport:
             assert len(lines) == 7
         printed = capsys.readouterr().out
         assert "psnr gain=" in printed
+
+    def test_off_size_dataset(self, workspace, tmp_path):
+        data = tmp_path / "data18"
+        assert run(["synth-data", "--n", "2", "--size", "18", "--seed", "4", "--out", str(data)]) == 0
+        out = tmp_path / "rep"
+        assert run(["report", "--ckpt", str(workspace["s2"]), "--data", str(data), "--out", str(out)]) == 0
+        assert len((out / "metrics_enhanced.csv").read_text().strip().split("\n")) == 3
 
 
 class TestGradcheck:

@@ -1,11 +1,14 @@
 """Codebook matching against brute-force oracles, plus histogram tools."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from lumiq import autodiff as ad
 from lumiq.autodiff import ShapeError, Tape, Tensor
 from lumiq.codebook import (
+    _CHUNK,
     Codebook,
     CorruptedIndexError,
     QuantizeResult,
@@ -28,6 +31,17 @@ def nearest_oracle(vecs, codes):
             if best_d is None or dist < best_d:
                 best, best_d = k, dist
         out[p] = best
+    return out
+
+
+def difference_scan(vecs, codes):
+    """The exact (P, K, D) difference-tensor scan, slab by slab, that the
+    GEMM screen must agree with index for index."""
+    out = np.empty(len(vecs), dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(vecs), _CHUNK):
+            diff = vecs[lo : lo + _CHUNK, None, :] - codes[None, :, :]
+            out[lo : lo + _CHUNK] = np.einsum("pkd,pkd->pk", diff, diff).argmin(axis=1)
     return out
 
 
@@ -153,6 +167,99 @@ class TestQuantizeNearest:
         for p, k in enumerate(res.indices.reshape(-1)):
             expected[k] += cvecs[p]
         np.testing.assert_allclose(cb.codes.grad, expected, atol=1e-15)
+
+    def test_lookup_gradient_is_the_in_order_sum(self):
+        rng = np.random.default_rng(16)
+        cb = make_codebook(5, 3, 17, codes=rng.normal(size=(5, 3)))
+        Z = Tensor(rng.normal(size=(2, 3, 24, 24)))  # 1152 rows over 5 codes
+        coeff = Tensor(rng.normal(size=(2, 3, 24, 24)))
+        tape = Tape()
+        with tape:
+            res = quantize_nearest(Z, cb)
+            loss = ad.sum_all(ad.mul(res.lookup, coeff))
+        ad.backward(loss, tape)
+        expected = np.zeros((5, 3))
+        cvecs = coeff.data.transpose(0, 2, 3, 1).reshape(-1, 3)
+        for p, k in enumerate(res.indices.reshape(-1)):
+            for j in range(3):
+                expected[k, j] += cvecs[p, j]
+        np.testing.assert_array_equal(cb.codes.grad, expected)
+
+
+class TestScreenAgreesWithDifferenceScan:
+    """The GEMM screen returns the exact scan's index on every row, including
+    rows that fall inside its tolerance band and are scored again."""
+
+    def check(self, vecs, codes):
+        """Screen vecs as a contiguous NCHW array and as a channels-last view
+        (the layout conv outputs have); both must give the scan's indices."""
+        vecs, codes = np.asarray(vecs, dtype=np.float64), np.asarray(codes, dtype=np.float64)
+        p, d = vecs.shape
+        cb = make_codebook(*codes.shape, 0, codes=codes)
+        want = difference_scan(vecs, codes)
+        for Z in (np.ascontiguousarray(vecs.T).reshape(1, d, 1, p), vecs.reshape(1, 1, p, d).transpose(0, 3, 1, 2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = quantize_nearest(Tensor(Z), cb)
+            np.testing.assert_array_equal(res.indices.reshape(-1), want)
+        assert cb.usage.sum() == 2 * p
+        return want
+
+    def test_midpoints_of_two_codes(self):
+        rng = np.random.default_rng(20)
+        codes = rng.normal(size=(9, 5))
+        vecs = [(codes[a] + codes[b]) / 2 for a in range(9) for b in range(9)]
+        self.check(vecs, codes)
+        got = self.check([[1.0, 1.0], [0.5, 0.5]], [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(got, [2, 1])  # [0.5, 0.5] ties codes 1 and 2: the lower wins
+
+    def test_duplicate_code_rows(self):
+        rng = np.random.default_rng(21)
+        codes = rng.normal(size=(8, 4))
+        codes[[3, 6]] = codes[1]
+        vecs = np.concatenate([codes, codes + 1e-9, rng.normal(size=(20, 4))])
+        got = self.check(vecs, codes)
+        assert not np.isin(got, [3, 6]).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["vecs", "codes"])
+    def test_non_finite_entries(self, bad, where):
+        rng = np.random.default_rng(22)
+        codes, vecs = rng.normal(size=(7, 4)), rng.normal(size=(12, 4))
+        (vecs if where == "vecs" else codes)[2, 1] = bad
+        self.check(vecs, codes)
+
+    # squares near 1e-320 are subnormal and rounded to an absolute grid, not a
+    # relative one; squares near 1e310 overflow
+    @pytest.mark.parametrize("scale, d", [(1e-160, 8), (1e-161, 1), (3e-162, 2), (3e-162, 8),
+                                          (1e150, 8), (1e155, 8)])
+    def test_underflow_and_overflow_magnitudes(self, scale, d):
+        rng = np.random.default_rng(23)
+        codes = rng.normal(size=(10, d)) * scale
+        self.check(rng.normal(size=(30, d)) * scale, codes)
+
+    def test_overflowing_cross_term(self):
+        # 2 x.c overflows for code 0 though ||x||^2 and ||c||^2 do not, so the
+        # expansion reads -inf there; the exact sum puts code 1 at distance 0
+        x = np.array([[9.434e153, 0.0]])
+        far = 9.747e153 * np.array([0.999, np.sqrt(1 - 0.999**2)])
+        np.testing.assert_array_equal(self.check(x, [far, x[0]]), [1])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_instances_across_scales(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        k, d = int(rng.integers(1, 71)), int(rng.integers(1, 41))
+        scale = 10.0 ** rng.uniform(-170, 160)
+        codes = rng.normal(size=(k, d)) * scale
+        vecs = np.concatenate([rng.normal(size=(40, d)) * scale, codes[rng.integers(k, size=5)]])
+        self.check(vecs, codes)
+
+    def test_two_slabs(self):
+        rng = np.random.default_rng(24)
+        codes = rng.normal(size=(16, 6))
+        vecs = rng.normal(size=(_CHUNK + 300, 6))
+        vecs[_CHUNK - 2 : _CHUNK + 2] = (codes[0] + codes[1]) / 2  # re-checked rows on both sides
+        self.check(vecs, codes)
 
 
 class TestCodebookMatchingLoss:

@@ -18,6 +18,8 @@ from lumiq.training import (
     adam_step,
     enhance,
     evaluate_pairs,
+    fit_image,
+    input_shape_problem,
     load_any,
     load_config,
     model_entries,
@@ -81,6 +83,11 @@ def tiny_pairs():
 def stage1_tiny(tiny_images):
     model, rows = pretrain_vqgan(tiny_images, tiny_cfg())
     return model, rows
+
+
+@pytest.fixture(scope="module")
+def stage2_tiny(stage1_tiny, tiny_pairs):
+    return train_enhancer(tiny_pairs, stage1_tiny[0], tiny_cfg(stage2_iters=2))[0]
 
 
 class TestAdam:
@@ -565,3 +572,54 @@ class TestHarnesses:
         cfg = tiny_cfg(stage2_iters=2, lqm_warmup=1)
         run_lambda_sweep(model, tiny_pairs, tiny_pairs[:2], cfg, lambdas=(0.5,))
         assert_bit_identical(before, model.decoder.named_params() + model.disc.named_params())
+
+
+class TestAnyImageSize:
+    # side -> padded side at n_down=2 with prompts: 30, 126 and 254 are not
+    # multiples of 4; 36, 44 and 100 are, but their prompt patches do not
+    # divide a tap level (18 by 4, 22 by 5, 50 by 12)
+    PADDED = {30: 32, 126: 128, 254: 256, 36: 40, 44: 48, 100: 112}
+
+    @pytest.mark.parametrize("side", sorted(PADDED))
+    def test_enhance_runs_on_the_reflect_padded_image_and_crops_back(self, stage2_tiny, side):
+        image = synth_scene(side, side, side)
+        out, res = enhance(image, stage2_tiny)
+        pad = self.PADDED[side] - side
+        padded = Tensor(np.pad(image.data, ((0, 0), (0, 0), (0, pad), (0, pad)), mode="reflect"))
+        ref, ref_res = enhance(padded, stage2_tiny)
+        assert out.data.shape == image.data.shape
+        np.testing.assert_array_equal(out.data, ref.data[:, :, :side, :side])
+        np.testing.assert_array_equal(res.indices, ref_res.indices)
+        assert res.indices.shape == (1, self.PADDED[side] // 4, self.PADDED[side] // 4)
+
+    def test_non_square_sides_pad_independently(self, stage2_tiny):
+        image = synth_scene(1, 18, 30)
+        assert fit_image(image, 2, prompts=True).data.shape == (1, 3, 20, 32)
+        out, res = enhance(image, stage2_tiny)
+        assert out.data.shape == (1, 3, 18, 30)
+        assert res.indices.shape == (1, 5, 8)
+
+    @pytest.mark.parametrize("side", [16, 32, 128, 256])
+    def test_aligned_image_is_neither_padded_nor_copied(self, side):
+        image = Tensor(np.zeros((1, 3, side, side)))
+        assert fit_image(image, 2, prompts=True) is image
+
+    def test_fit_is_the_smallest_accepted_shape(self):
+        for prompts in (False, True):
+            for h in range(1, 70):
+                fitted = fit_image(Tensor(np.zeros((1, 3, h, 7))), 2, prompts).data.shape[2:]
+                assert input_shape_problem(*fitted, 2, prompts) is None
+                assert all(input_shape_problem(s, t, 2, prompts) is not None
+                           for s in range(h, fitted[0]) for t in range(1, 3 * fitted[0]))
+                assert all(input_shape_problem(fitted[0], t, 2, prompts) is not None
+                           for t in range(7, fitted[1]))
+
+    @pytest.mark.parametrize("use_lapm", [False, True])
+    def test_crop_rule_is_the_input_shape_rule(self, use_lapm):
+        for crop in range(1, 130):
+            problem = input_shape_problem(crop, crop, 2, use_lapm)
+            if problem is None:
+                assert TrainConfig(crop=crop, use_lapm=use_lapm).crop == crop
+            else:
+                with pytest.raises(ValueError, match=f"^crop={crop} "):
+                    TrainConfig(crop=crop, use_lapm=use_lapm)

@@ -15,12 +15,13 @@ relative difference over the checkpoint tensors.
 It then runs a fixed CLI chain in both trees: synth-data, pretrain and
 train using every override flag (--seed, --config, --iters,
 --codebook-size, --lambda, --prompts, --margin), enhance, analyze-codes on
-both checkpoints, report, and a train whose --codebook-size disagrees with
-its stage-1 checkpoint.  Every path is relative to the chain's own run
-directory, so output from the two trees needs no path rewriting.  It prints
-the exit codes, whether stdout and stderr match (with the differing stderr
-lines), and how many artifact files are byte-identical.  It exits 0 when
-every run finishes.
+both checkpoints, report, an enhance over 18x18 images (off-size: they run
+padded to 20x20, and revisions that predate padding exit 2 on them), and a
+train whose --codebook-size disagrees with its stage-1 checkpoint.  Every
+path is relative to the chain's own run directory, so output from the two
+trees needs no path rewriting.  It prints the exit codes, whether stdout
+and stderr match (with the differing stderr lines), and how many artifact
+files are byte-identical.  It exits 0 when every run finishes.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ CLI_CHAIN = [
     ["analyze-codes", "--ckpt", "s1/stage1.ckpt", "--images", "data", "--out", "codes1"],
     ["analyze-codes", "--ckpt", "s2/stage2.ckpt", "--images", "data", "--out", "codes2"],
     ["report", "--ckpt", "s2/stage2.ckpt", "--data", "data", "--out", "report"],
+    ["synth-data", "--n", "2", "--size", "18", "--seed", "4", "--out", "data18"],
+    ["enhance", "--ckpt", "s2/stage2.ckpt", "--images", "data18", "--out", "enhanced18"],
     TRAIN + ["--out", "mismatch"],  # config's n_codes=32 against a 16-code stage 1: exits 2
 ]
 
