@@ -331,25 +331,43 @@ def _pad_channels_last(x: np.ndarray, pad: int) -> np.ndarray:
     return xp
 
 
+# Output rows _correlate runs through all k*k taps before the next block.
+# A whole-image tap would stream a full-size product and the accumulator
+# through memory once per tap; a block's product and accumulator stay in
+# cache.  Every output element sums the same per-tap products in the same
+# tap order, so only a BLAS kernel chosen by row count can move its bits
+# (OpenBLAS takes another one for (M, 16) @ (16, 3) at M of about 30000).
+_CORRELATE_ROWS = 512
+
+
 def _correlate(xp: np.ndarray, wt: np.ndarray) -> np.ndarray:
     """Stride-1 cross-correlation of a padded channels-last buffer.
 
     xp (b, hp, wp, c_in), taps wt (k, k, c_in, c_out) -> (b, oh, ow, c_out)
     view.  Over the buffer's flat rows, tap (i, j) is one GEMM against the
-    rows shifted by i*wp + j; rows that wrap past a row or batch end are
-    computed and dropped.
+    rows shifted by i*wp + j, run in blocks of _CORRELATE_ROWS output rows;
+    rows that wrap past a row or batch end are computed and dropped.
     """
     b, hp, wp, c_in = xp.shape
     k, c_out = wt.shape[0], wt.shape[3]
+    # np.dot copies a tap with no unit stride to C order on every call: copy
+    # each once.  A tap with one stays as it is, since its memory order picks
+    # the GEMM kernel and with it the bits.
+    taps = [[t if t.itemsize in t.strides else np.ascontiguousarray(t) for t in row] for row in wt]
     flat = xp.reshape(-1, c_in)
     n = flat.shape[0] - (k - 1) * wp - (k - 1)
     acc = np.empty((b * hp * wp, c_out))
-    np.dot(flat[:n], wt[0, 0], out=acc[:n])
-    for i in range(k):
-        for j in range(k):
-            if i or j:
-                off = i * wp + j
-                acc[:n] += np.dot(flat[off : off + n], wt[i, j])
+    scratch = np.empty((min(n, _CORRELATE_ROWS), c_out))
+    for s in range(0, n, _CORRELATE_ROWS):
+        e = min(s + _CORRELATE_ROWS, n)
+        block, prod = acc[s:e], scratch[: e - s]
+        np.dot(flat[s:e], taps[0][0], out=block)
+        for i in range(k):
+            for j in range(k):
+                if i or j:
+                    off = i * wp + j
+                    np.dot(flat[s + off : e + off], taps[i][j], out=prod)
+                    block += prod
     return acc.reshape(b, hp, wp, c_out)[:, : hp - k + 1, : wp - k + 1]
 
 

@@ -128,10 +128,10 @@ def read_image(path) -> Tensor:
         blob = fh.read()
     if blob[:2] != b"P6":
         raise PpmParseError(f"{path}: not a P6 file (byte offset 0)")
-    off = 2
+    off = start = 2
 
     def next_int():
-        nonlocal off
+        nonlocal off, start
         off = _HEADER_GAP.match(blob, off).end()
         start = off
         while off < len(blob) and blob[off : off + 1].isdigit():
@@ -141,10 +141,14 @@ def read_image(path) -> Tensor:
         return int(blob[start:off])
 
     w = next_int()
+    if w == 0:
+        raise PpmParseError(f"{path}: width 0 at byte offset {start}")
     h = next_int()
+    if h == 0:
+        raise PpmParseError(f"{path}: height 0 at byte offset {start}")
     maxval = next_int()
     if maxval != 255:
-        raise PpmParseError(f"{path}: unsupported maxval {maxval} at byte offset {off - len(str(maxval))}")
+        raise PpmParseError(f"{path}: unsupported maxval {maxval} at byte offset {start}")
     if off >= len(blob) or not blob[off : off + 1].isspace():
         raise PpmParseError(f"{path}: expected whitespace after maxval at byte offset {off}")
     off += 1

@@ -78,6 +78,49 @@ SHIFTED_CASES = [
     ((2, 3, 9, 6), (4, 3, 3, 3), 1),
 ]
 
+# stride-1 shapes that _correlate runs in several row blocks: 3266 output
+# rows for the 3x3 kernels (a partial last block, block edges mid-row, one
+# block across the batch boundary at row 1677) and 3034 for the 1x1 kernel
+MULTI_BLOCK_CASES = [
+    ((2, 2, 37, 41), (3, 2, 3, 3), 1),
+    ((2, 2, 37, 41), (16, 2, 3, 3), 1),
+    ((2, 3, 37, 41), (5, 3, 1, 1), 0),
+]
+
+# every conv the default TrainConfig runs (batch 4, crop 32), stage 1 and 2
+DEFAULT_CONVS = [
+    ((4, 3, 32, 32), (8, 3, 3, 3), 2, 1),
+    ((4, 3, 32, 32), (16, 3, 3, 3), 2, 1),
+    ((4, 8, 16, 16), (16, 8, 3, 3), 2, 1),
+    ((4, 16, 8, 8), (1, 16, 3, 3), 1, 1),
+    ((4, 16, 8, 8), (32, 16, 3, 3), 2, 1),
+    ((4, 16, 16, 16), (16, 16, 3, 3), 1, 1),
+    ((4, 16, 16, 16), (32, 16, 3, 3), 2, 1),
+    ((4, 16, 32, 32), (3, 16, 3, 3), 1, 1),
+    ((4, 16, 32, 32), (16, 16, 3, 3), 1, 1),
+    ((4, 32, 8, 8), (32, 32, 3, 3), 1, 1),
+    ((4, 32, 16, 16), (16, 32, 3, 3), 1, 1),
+    ((4, 32, 16, 16), (32, 32, 3, 3), 1, 1),
+    ((4, 64, 8, 8), (32, 64, 3, 3), 1, 1),
+    ((4, 64, 8, 8), (64, 64, 3, 3), 1, 1),
+    ((64, 16, 1, 1), (5, 16, 1, 1), 1, 0),
+    ((64, 32, 1, 1), (5, 32, 1, 1), 1, 0),
+    ((1, 32, 1, 1), (16, 32, 1, 1), 1, 0),
+    ((4, 32, 1, 1), (16, 32, 1, 1), 1, 0),
+    ((1, 256, 1, 1), (32, 256, 1, 1), 1, 0),
+    ((4, 256, 1, 1), (32, 256, 1, 1), 1, 0),
+    ((1, 1024, 1, 1), (32, 1024, 1, 1), 1, 0),
+    ((4, 1024, 1, 1), (32, 1024, 1, 1), 1, 0),
+]
+
+
+def correlate_rows(xshape, wshape, pad):
+    """Output rows _correlate computes (wrapped ones included) for a stride-1 conv."""
+    b, _, h, w = xshape
+    k = wshape[2]
+    hp, wp = h + 2 * pad, w + 2 * pad
+    return b * hp * wp - (k - 1) * wp - (k - 1)
+
 
 class TestConv2d:
     def test_identity_kernel(self):
@@ -111,7 +154,7 @@ class TestConv2d:
         out = ad.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
         np.testing.assert_allclose(out.data, conv_oracle(x, w, b, stride, pad), atol=1e-12)
 
-    @pytest.mark.parametrize("xshape,wshape,pad", SHIFTED_CASES)
+    @pytest.mark.parametrize("xshape,wshape,pad", SHIFTED_CASES + MULTI_BLOCK_CASES)
     def test_shifted_path_matches_oracle(self, xshape, wshape, pad):
         rng = np.random.default_rng(sum(xshape) + sum(wshape) + pad)
         x = rng.normal(size=xshape)
@@ -190,30 +233,7 @@ class TestConv2d:
         assert ad.check_gradients(lambda t: ad.sum_all(ad.square(ad.conv2d(t, w, b, stride=1, pad=0))), x) < 1e-4
         assert ad.check_gradients(lambda t: ad.sum_all(ad.square(ad.conv2d(x, t, b, stride=1, pad=0))), w) < 1e-4
 
-    @pytest.mark.parametrize("xshape,wshape,stride,pad", [
-        # every conv the default TrainConfig runs (batch 4, crop 32), stage 1 and 2
-        ((4, 3, 32, 32), (8, 3, 3, 3), 2, 1),
-        ((4, 3, 32, 32), (16, 3, 3, 3), 2, 1),
-        ((4, 8, 16, 16), (16, 8, 3, 3), 2, 1),
-        ((4, 16, 8, 8), (1, 16, 3, 3), 1, 1),
-        ((4, 16, 8, 8), (32, 16, 3, 3), 2, 1),
-        ((4, 16, 16, 16), (16, 16, 3, 3), 1, 1),
-        ((4, 16, 16, 16), (32, 16, 3, 3), 2, 1),
-        ((4, 16, 32, 32), (3, 16, 3, 3), 1, 1),
-        ((4, 16, 32, 32), (16, 16, 3, 3), 1, 1),
-        ((4, 32, 8, 8), (32, 32, 3, 3), 1, 1),
-        ((4, 32, 16, 16), (16, 32, 3, 3), 1, 1),
-        ((4, 32, 16, 16), (32, 32, 3, 3), 1, 1),
-        ((4, 64, 8, 8), (32, 64, 3, 3), 1, 1),
-        ((4, 64, 8, 8), (64, 64, 3, 3), 1, 1),
-        ((64, 16, 1, 1), (5, 16, 1, 1), 1, 0),
-        ((64, 32, 1, 1), (5, 32, 1, 1), 1, 0),
-        ((1, 32, 1, 1), (16, 32, 1, 1), 1, 0),
-        ((4, 32, 1, 1), (16, 32, 1, 1), 1, 0),
-        ((1, 256, 1, 1), (32, 256, 1, 1), 1, 0),
-        ((4, 256, 1, 1), (32, 256, 1, 1), 1, 0),
-        ((1, 1024, 1, 1), (32, 1024, 1, 1), 1, 0),
-        ((4, 1024, 1, 1), (32, 1024, 1, 1), 1, 0),
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", DEFAULT_CONVS + [
         # unpadded, over-padded, pad > k-1, non-square
         ((2, 3, 7, 7), (4, 3, 3, 3), 1, 0),
         ((2, 3, 7, 7), (4, 3, 3, 3), 1, 2),
@@ -225,7 +245,7 @@ class TestConv2d:
         ((2, 3, 5, 5), (4, 3, 1, 1), 1, 0),
         ((2, 2, 5, 5), (3, 2, 3, 3), 1, 3),
         ((2, 3, 3, 3), (4, 3, 3, 3), 1, 0),
-    ])
+    ] + [(x, w, 1, pad) for x, w, pad in MULTI_BLOCK_CASES])
     def test_backward_matches_scatter_oracle(self, xshape, wshape, stride, pad):
         rng = np.random.default_rng(sum(xshape) + sum(wshape) + stride + pad)
         x = Tensor(rng.normal(size=xshape), requires_grad=True)
@@ -239,6 +259,36 @@ class TestConv2d:
         dx, dw = conv_backward_oracle(x.data, w.data, weights.data, stride, pad)
         np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12 * np.abs(dx).max())
         np.testing.assert_allclose(w.grad, dw, rtol=1e-12, atol=1e-12 * np.abs(dw).max())
+
+    def test_multi_block_cases_cross_block_edges(self):
+        rows = ad._CORRELATE_ROWS
+        for xshape, wshape, pad in MULTI_BLOCK_CASES:
+            n = correlate_rows(xshape, wshape, pad)
+            wp = xshape[3] + 2 * pad
+            batch_rows = (xshape[2] + 2 * pad) * wp
+            assert n > rows and n % rows and rows % wp
+            assert any(s < batch_rows < s + rows for s in range(rows, n, rows))
+
+    @pytest.mark.parametrize("xshape,wshape,pad", [(x, w, pad) for x, w, stride, pad in DEFAULT_CONVS if stride == 1])
+    def test_row_blocks_change_no_bits_at_training_shapes(self, monkeypatch, xshape, wshape, pad):
+        # forward and input gradient in blocks against one block of every row:
+        # the same per-tap GEMMs in the same order, so the same bits
+        rng = np.random.default_rng(sum(xshape) + sum(wshape) + pad)
+        x, w = rng.normal(size=xshape), rng.normal(size=wshape)
+        k = wshape[2]
+        g = rng.normal(size=(xshape[0], wshape[0], xshape[2] + 2 * pad - k + 1, xshape[3] + 2 * pad - k + 1))
+        runs = []
+        for rows in (ad._CORRELATE_ROWS, correlate_rows(xshape, wshape, pad)):
+            monkeypatch.setattr(ad, "_CORRELATE_ROWS", rows)
+            xt = Tensor(x, requires_grad=True)
+            tape = Tape()
+            with tape:
+                out = ad.conv2d(xt, Tensor(w), pad=pad)
+                loss = ad.sum_all(ad.mul(out, Tensor(g)))
+            ad.backward(loss, tape)
+            runs.append((out.data, xt.grad))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
 
 class TestAvgPool:
@@ -560,6 +610,20 @@ class TestDeterminism:
         r2 = ad.conv2d(Tensor(x.copy()), Tensor(w.copy()), Tensor(b.copy()), stride=2, pad=1).data
         np.testing.assert_array_equal(r1, r2)
 
+    @staticmethod
+    def digests_by_blas_threads(script):
+        """Stdout of script run in a subprocess at one and at two BLAS threads."""
+        src = os.path.dirname(os.path.dirname(ad.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout)
+        return digests
+
     def test_conv_weight_grad_independent_of_blas_threads(self):
         # weight-gradient reductions of 1258 (stride 1) and 900 (stride 2) rows,
         # lengths that multi-threaded OpenBLAS blocks differently from one thread
@@ -576,15 +640,26 @@ class TestDeterminism:
             "    ad.backward(loss, tape)\n"
             "    print(hashlib.sha256(w.grad.tobytes()).hexdigest())\n"
         )
-        src = os.path.dirname(os.path.dirname(ad.__file__))
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                 text=True, timeout=120)
-            assert run.returncode == 0, run.stderr
-            digests.append(run.stdout)
+        digests = self.digests_by_blas_threads(script)
+        assert digests[0] == digests[1]
+
+    def test_conv_forward_and_input_grad_independent_of_blas_threads(self):
+        # a stride-1 conv of 3266 output rows, run in several row blocks
+        script = (
+            "import hashlib, numpy as np\n"
+            "from lumiq import autodiff as ad\n"
+            "rng = np.random.default_rng(6)\n"
+            "x = ad.Tensor(rng.normal(size=(2, 16, 37, 41)), requires_grad=True)\n"
+            "w = ad.Tensor(rng.normal(size=(16, 16, 3, 3)))\n"
+            "tape = ad.Tape()\n"
+            "with tape:\n"
+            "    out = ad.conv2d(x, w, pad=1)\n"
+            "    loss = ad.sum_all(ad.square(out))\n"
+            "ad.backward(loss, tape)\n"
+            "print(hashlib.sha256(out.data.tobytes()).hexdigest())\n"
+            "print(hashlib.sha256(x.grad.tobytes()).hexdigest())\n"
+        )
+        digests = self.digests_by_blas_threads(script)
         assert digests[0] == digests[1]
 
     def test_no_recording_without_tape(self):

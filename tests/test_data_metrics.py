@@ -246,6 +246,16 @@ class TestPpm:
         with pytest.raises(PpmParseError, match="truncated"):
             read_image(path)
 
+    @pytest.mark.parametrize("dims, match", [(b"0 0", "width 0 at byte offset 3"),
+                                             (b"0 8", "width 0 at byte offset 3"),
+                                             (b"8 0", "height 0 at byte offset 5")])
+    def test_zero_size_names_offset(self, tmp_path, dims, match):
+        path = tmp_path / "empty.ppm"
+        path.write_bytes(b"P6\n" + dims + b"\n255\n")
+        with pytest.raises(PpmParseError, match=match) as err:
+            read_image(path)
+        assert str(path) in str(err.value)
+
 
 class TestMetricsCsv:
     def test_format(self, tmp_path):

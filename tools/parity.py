@@ -10,7 +10,10 @@ under TrainConfig(seed=0, stage1_iters=20, stage2_iters=40, lqm_warmup=3),
 saving both checkpoints.  For each stage the script prints the largest
 relative difference between the two runs' loss rows, how many
 checkpoint tensors are bit-identical, and the largest elementwise
-relative difference over the checkpoint tensors.
+relative difference over the checkpoint tensors.  Each tree's stage-2 model
+then enhances one 256x256 generate_pairs image, a size whose convs run far
+more GEMM rows than any training shape; the script prints whether the two
+float outputs are bit-identical and their largest relative difference.
 
 It then runs a fixed CLI chain in both trees: synth-data, pretrain and
 train using every override flag (--seed, --config, --iters,
@@ -41,8 +44,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 RUN = """
 import json, sys
+import numpy as np
 from lumiq.data import generate_pairs
-from lumiq.training import TrainConfig, pretrain_vqgan, save_model, train_enhancer
+from lumiq.training import TrainConfig, enhance, pretrain_vqgan, save_model, train_enhancer
 
 out = sys.argv[1]
 pairs = generate_pairs(12, 32, seed=3)
@@ -53,6 +57,8 @@ stage2, rows2 = train_enhancer(pairs, stage1, cfg)
 save_model(stage2, out + "/stage2.ckpt")
 with open(out + "/rows.json", "w") as fh:
     json.dump({"stage1": rows1, "stage2": rows2}, fh)
+enhanced, _ = enhance(generate_pairs(1, 256, seed=4)[0].low, stage2)
+np.save(out + "/enhanced256.npy", enhanced.data)
 """
 
 CLI_CONFIG = "batch_size=2\ncrop=16\nn_codes=32\ncode_dim=8\nbase_channels=4\nd_l=6\nlqm_warmup=2\nn_prompts=5\n"
@@ -73,7 +79,7 @@ CLI_CHAIN = [
 
 
 def run_tree(tree: Path, out: Path) -> dict:
-    """Run the fixed training in tree's src/, writing into out; returns the loss rows."""
+    """Run the fixed training and the 256x256 enhance in tree's src/, writing into out; returns the loss rows."""
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     subprocess.run([sys.executable, "-c", RUN, str(out)], env=env, cwd=tree, check=True)
@@ -145,6 +151,9 @@ def main(argv: list[str]) -> int:
             print(f"{stage}: {len(rows_now[stage])} loss rows, max relative difference {diff:.3g}; "
                   f"{same} of {total} checkpoint tensors bit-identical, "
                   f"max elementwise relative difference {worst:.3g}")
+        enh_rev, enh_now = (np.load(tmp / out / "enhanced256.npy") for out in ("out_rev", "out_now"))
+        print(f"enhance 256x256: outputs {'bit-identical' if enh_rev.tobytes() == enh_now.tobytes() else 'DIFFER'}, "
+              f"max relative difference {max_relative_difference(enh_rev, enh_now):.3g}")
 
         cli_rev = run_cli(rev_tree, tmp / "cli_rev")
         cli_now = run_cli(ROOT, tmp / "cli_now")
