@@ -258,10 +258,11 @@ def cmd_enhance(args, cfg: TrainConfig) -> int:
     model = load_any(args.ckpt)
     if not isinstance(model, Stage2Model):
         raise UsageError(f"{args.ckpt} is not a stage-2 checkpoint")
+    # read every input first: a malformed file fails before anything is written
+    images = [(path, read_image(path)) for path in list_ppm_inputs(args.images)]
     os.makedirs(args.out, exist_ok=True)
     model.codebook.reset_usage()
-    for path in list_ppm_inputs(args.images):
-        image = read_image(path)
+    for path, image in images:
         out, _ = enhance(image, model, update_usage=True)
         dest = os.path.join(args.out, f"enhanced_{os.path.basename(path)}")
         write_image(dest, out)

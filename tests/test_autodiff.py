@@ -122,6 +122,52 @@ def correlate_rows(xshape, wshape, pad):
     return b * hp * wp - (k - 1) * wp - (k - 1)
 
 
+# The formulas leaky_relu, sigmoid and log_sigmoid used before they were
+# rewritten without full-size temporaries, and upsample_nearest's np.repeat
+# form: the ops must keep their bits (signed zeros, NaN positions) and their
+# output memory layout.
+def leaky_factor_oracle(x, slope):
+    return np.where(x > 0.0, 1.0, slope)
+
+
+def sigmoid_oracle(z):
+    pos = z >= 0
+    s = np.empty_like(z)
+    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    s[~pos] = e / (1.0 + e)
+    return s
+
+
+def log_sigmoid_oracle(z):
+    return np.where(z >= 0, -np.log1p(np.exp(-np.abs(z))), z - np.log1p(np.exp(-np.abs(z))))
+
+
+def upsample_oracle(x, scale):
+    return np.repeat(np.repeat(x, scale, axis=2), scale, axis=3)
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.2e-308, 800.0, -800.0]
+
+
+def special_inputs(seed, shape=(2, 4, 5, 6)):
+    """The same values with ±0, ±inf, NaN, subnormals and exp-overflowing
+    magnitudes planted, as an NCHW-contiguous array and as the channels-last
+    view a conv output is."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=shape)
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, size=3 * len(SPECIAL_VALUES), replace=False)] = np.repeat(SPECIAL_VALUES, 3)
+    return [x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)]
+
+
+def assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_array_equal(got, want)
+    finite = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got)[finite], np.signbit(want)[finite])
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -289,6 +335,41 @@ class TestConv2d:
             runs.append((out.data, xt.grad))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", DEFAULT_CONVS + [(x, w, 1, pad) for x, w, pad in MULTI_BLOCK_CASES])
+    def test_output_bits_equal_compacted_sum_plus_bias(self, xshape, wshape, stride, pad):
+        # the bias added per row block (or in place at stride 2) against adding
+        # it to the whole compacted product afterwards
+        rng = np.random.default_rng(sum(xshape) + sum(wshape) + 7 * stride + pad)
+        x, w, b = rng.normal(size=xshape), rng.normal(size=wshape), rng.normal(size=wshape[0])
+        k = wshape[2]
+        if stride == 1:
+            xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+            res = ad._correlate(xp, w.transpose(2, 3, 1, 0))
+        else:
+            res = ad._im2col(x, k, stride, pad) @ w.reshape(wshape[0], -1).T
+        for bias, want in ((b, res + b), (None, np.ascontiguousarray(res))):
+            out = ad.conv2d(Tensor(x), Tensor(w), None if bias is None else Tensor(bias), stride=stride, pad=pad)
+            want = want.transpose(0, 3, 1, 2)
+            np.testing.assert_array_equal(out.data, want)
+            assert out.data.strides == want.strides
+
+    @pytest.mark.parametrize("pad", [0, 1, 2, 7])
+    def test_pad_borders_are_exact_zeros(self, pad):
+        # a NaN-filled block of the padded size is freed first, so a border
+        # the pad leaves unwritten shows as NaN in the reused memory
+        rng = np.random.default_rng(40 + pad)
+        x = np.ascontiguousarray(rng.normal(size=(2, 5, 4, 3)).transpose(0, 3, 1, 2))
+        b, c, h, w = x.shape
+        stale = np.full((b, h + 2 * pad, w + 2 * pad, c), np.nan)
+        del stale
+        xp = ad._pad_channels_last(x, pad)
+        want = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+        np.testing.assert_array_equal(xp, want)
+        border = np.ones(xp.shape, dtype=bool)
+        border[:, pad : pad + h, pad : pad + w] = False
+        assert (xp[border] == 0.0).all() and not np.signbit(xp[border]).any()
+        assert xp.flags.c_contiguous
 
 
 class TestAvgPool:
@@ -523,6 +604,12 @@ class TestCheckGradients:
         x = Tensor(rng.normal(size=(1, 1, 3, 3)))
         assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(t, t)), x) < 1e-6
 
+    @pytest.mark.parametrize("slope", [1.5, -0.3])
+    def test_leaky_relu_steep_and_negative_slopes(self, slope):
+        rng = np.random.default_rng(20)
+        x = Tensor(away_from_kinks(rng, (1, 2, 3, 3)))
+        assert ad.check_gradients(lambda t: ad.sum_all(ad.square(ad.leaky_relu(t, slope))), x) < 1e-4
+
 
 class TestElementwiseOps:
     """Every plumbing op passes a finite-difference check."""
@@ -563,6 +650,11 @@ class TestElementwiseOps:
         out = ad.leaky_relu(x, 0.2)
         np.testing.assert_allclose(out.data.reshape(-1), [-0.4, 3.0], atol=1e-15)
 
+    @pytest.mark.parametrize("slope", [np.nan, np.inf, -np.inf])
+    def test_leaky_relu_rejects_non_finite_slope(self, slope):
+        with pytest.raises(ValueError, match=f"slope must be finite, got {slope}"):
+            ad.leaky_relu(Tensor(np.ones((1, 1, 2, 2))), slope)
+
     def test_concat_slice_reshape_upsample(self):
         rng = np.random.default_rng(21)
         a = Tensor(rng.normal(size=(2, 2, 3, 3)))
@@ -598,6 +690,62 @@ class TestElementwiseOps:
         cm = Tensor(rng.normal(size=(4, 5, 1, 1)))
         assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(ad.mix_rows(t, rows), cm)), w) < 1e-4
         assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(ad.mix_rows(w, t), cm)), rows) < 1e-4
+
+
+class TestSameBitsAsPreviousFormulas:
+    """Outputs and gradients equal the previous formulas bit for bit, with the
+    same strides, on inputs holding ±0, ±inf, NaN and subnormals."""
+
+    @staticmethod
+    def run_op(op, x):
+        """Output array and grad_fn of one taped op on x."""
+        tape = Tape()
+        with tape:
+            out = op(Tensor(x, requires_grad=True))
+        return out.data, tape._records[-1][2]
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0, 1.5, -0.3])
+    def test_leaky_relu(self, slope):
+        with np.errstate(invalid="ignore"):
+            for x in special_inputs(30):
+                factor = leaky_factor_oracle(x, slope)
+                out, grad_fn = self.run_op(lambda t: ad.leaky_relu(t, slope), x)
+                assert_same_bits(out, x * factor)
+                assert out.strides == (x * factor).strides
+                for g in special_inputs(31):
+                    (dx,) = grad_fn(g)
+                    assert_same_bits(dx, g * factor)
+                    assert dx.strides == (g * factor).strides
+
+    def test_sigmoid_and_log_sigmoid(self):
+        with np.errstate(invalid="ignore", over="ignore"):
+            for z in special_inputs(32):
+                s = sigmoid_oracle(z)
+                cases = ((ad.sigmoid, s, lambda g: g * s * (1.0 - s)),
+                         (ad.log_sigmoid, log_sigmoid_oracle(z), lambda g: g * (1.0 - s)))
+                for op, want, grad_oracle in cases:
+                    out, grad_fn = self.run_op(op, z)
+                    assert_same_bits(out, want)
+                    assert out.strides == want.strides
+                    for g in special_inputs(33):
+                        (dz,) = grad_fn(g)
+                        assert_same_bits(dz, grad_oracle(g))
+
+    @pytest.mark.parametrize("scale", [1, 2, 3])
+    def test_upsample_nearest(self, scale):
+        # pins the C-ordered output: laid out channels-last, the gradient it
+        # receives sums in another order and training checkpoints move
+        for x in special_inputs(34):
+            out = ad.upsample_nearest(Tensor(x), scale).data
+            want = upsample_oracle(x, scale)
+            assert_same_bits(out, want)
+            assert out.strides == want.strides
+
+    def test_slice_channels_is_a_view_with_the_copy_bits(self):
+        for x in special_inputs(35):
+            out = ad.slice_channels(Tensor(x), 1, 3).data
+            assert_same_bits(out, x[:, 1:3].copy())
+            assert np.shares_memory(out, x) and out.strides == x.strides
 
 
 class TestDeterminism:

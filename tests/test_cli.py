@@ -243,6 +243,17 @@ class TestEnhance:
         assert code == 2
         assert "byte offset" in capsys.readouterr().err
 
+    def test_corrupt_image_after_good_one_writes_nothing(self, workspace, tmp_path, capsys):
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        (imgs / "a.ppm").write_bytes((workspace["data"] / "low_0000.ppm").read_bytes())
+        (imgs / "b.ppm").write_bytes(b"P6\n0 8\n255\n")
+        out = tmp_path / "x"
+        code = run(["enhance", "--ckpt", str(workspace["s2"]), "--images", str(imgs), "--out", str(out)])
+        assert code == 2
+        assert "b.ppm: width 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("side, padded", [(15, 16), (30, 32), (36, 40), (44, 48)])
     def test_any_size_is_padded_and_cropped_back(self, workspace, tmp_path, side, padded):
         odd = tmp_path / "odd.ppm"
