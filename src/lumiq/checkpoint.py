@@ -65,7 +65,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         name_len = take("<H")
         if off + name_len > len(blob):
             raise CheckpointError(f"{path}: truncated at byte {off}")
-        name = blob[off : off + name_len].decode("utf-8")
+        try:
+            name = blob[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{path}: entry name not valid utf-8 at byte {off + err.start}") from None
         off += name_len
         ndim = take("<B")
         shape = tuple(take("<I") for _ in range(ndim))

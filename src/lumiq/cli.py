@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, check_gradients
-from .codebook import Codebook, codebook_matching_loss, export_histogram_csv, quantize_nearest
+from .codebook import activation_histogram, export_histogram_csv, quantize_nearest
 from .data import DegradeParams, ImagePair, generate_pairs, read_image, write_image
 from .lapm import PromptBank, compose_prompt, inject_prompt, prompt_weights
 from .losses import (
@@ -44,7 +44,6 @@ from .training import (
     load_any,
     load_config,
     pretrain_vqgan,
-    reconstruct,
     require_crop,
     save_model,
     train_enhancer,
@@ -261,29 +260,29 @@ def cmd_enhance(args, cfg: TrainConfig) -> int:
     # read every input first: a malformed file fails before anything is written
     images = [(path, read_image(path)) for path in list_ppm_inputs(args.images)]
     os.makedirs(args.out, exist_ok=True)
-    model.codebook.reset_usage()
+    counts = np.zeros(model.codebook.n_codes, dtype=np.int64)
     for path, image in images:
-        out, _ = enhance(image, model, update_usage=True)
+        out, res = enhance(image, model)
+        counts += activation_histogram([res], model.codebook.n_codes)
         dest = os.path.join(args.out, f"enhanced_{os.path.basename(path)}")
         write_image(dest, out)
         log.info("enhanced %s -> %s", path, dest)
-    export_histogram_csv(model.codebook.usage, os.path.join(args.out, "histogram.csv"))
+    export_histogram_csv(counts, os.path.join(args.out, "histogram.csv"))
     log.info("wrote code-activation histogram.csv under %s", args.out)
     return 0
 
 
 def cmd_analyze_codes(args, cfg: TrainConfig) -> int:
     model = load_any(args.ckpt)
-    encoder = model.encoder
-    model.codebook.reset_usage()
+    counts = np.zeros(model.codebook.n_codes, dtype=np.int64)
     positions = 0
     for path in list_ppm_inputs(args.images):
-        Z, _ = encoder.forward(fit_image(read_image(path), model.cfg.n_down, prompts=False))
-        quantize_nearest(Z, model.codebook, update_usage=True)
+        Z, _ = model.encoder.forward(fit_image(read_image(path), model.cfg.n_down, prompts=False))
+        counts += activation_histogram([quantize_nearest(Z, model.codebook)], model.codebook.n_codes)
         positions += Z.data.shape[0] * Z.data.shape[2] * Z.data.shape[3]
     os.makedirs(args.out, exist_ok=True)
-    export_histogram_csv(model.codebook.usage, os.path.join(args.out, "histogram.csv"))
-    total = int(model.codebook.usage.sum())
+    export_histogram_csv(counts, os.path.join(args.out, "histogram.csv"))
+    total = int(counts.sum())
     if total != positions:
         raise RuntimeError(f"histogram counts {total} do not cover {positions} code positions")
     log.info("histogram over %d code positions written under %s", positions, args.out)

@@ -22,7 +22,7 @@ class CorruptedIndexError(RuntimeError):
 
 
 class Codebook:
-    """N learnable code vectors of dimension d, plus usage counters."""
+    """N learnable code vectors of dimension d."""
 
     def __init__(self, n_codes: int, dim: int, rng: np.random.Generator):
         if n_codes < 1 or dim < 1:
@@ -31,10 +31,6 @@ class Codebook:
         self.codes = Tensor(rng.uniform(-bound, bound, size=(n_codes, dim)), requires_grad=True)
         self.n_codes = n_codes
         self.dim = dim
-        self.usage = np.zeros(n_codes, dtype=np.int64)
-
-    def reset_usage(self) -> None:
-        self.usage[:] = 0
 
 
 class QuantizeResult:
@@ -55,7 +51,7 @@ class QuantizeResult:
         self.indices = indices
 
 
-def quantize_nearest(Z: Tensor, codebook: Codebook, update_usage: bool = True) -> QuantizeResult:
+def quantize_nearest(Z: Tensor, codebook: Codebook) -> QuantizeResult:
     """Replace each spatial vector of Z with its nearest code.
 
     Nearest means minimum squared Euclidean distance, ties broken by the
@@ -102,8 +98,6 @@ def quantize_nearest(Z: Tensor, codebook: Codebook, update_usage: bool = True) -
                 diff = v[redo, None, :] - codes[None, :, :]
                 sel[redo] = np.einsum("pkd,pkd->pk", diff, diff).argmin(axis=1)
             idx[lo : lo + len(v)] = sel
-    if update_usage:
-        codebook.usage += np.bincount(idx, minlength=codebook.n_codes)
     gathered = codes[idx].reshape(b, m, n, d).transpose(0, 3, 1, 2)
     indices = idx.reshape(b, m, n)
 
@@ -160,15 +154,6 @@ def histogram_distance(h1: np.ndarray, h2: np.ndarray) -> float:
     if s1 <= 0 or s2 <= 0:
         raise ValueError("histogram_distance needs histograms with positive totals")
     return float(np.abs(h1 / s1 - h2 / s2).sum())
-
-
-def top_k_codes(counts: np.ndarray, k: int) -> list[tuple[int, int]]:
-    """k (index, count) pairs by descending count, ties by ascending index."""
-    counts = np.asarray(counts)
-    if k > counts.size:
-        raise ValueError(f"top_k_codes: k={k} exceeds {counts.size} codes")
-    order = np.lexsort((np.arange(counts.size), -counts))
-    return [(int(i), int(counts[i])) for i in order[:k]]
 
 
 def export_histogram_csv(counts: np.ndarray, path) -> None:

@@ -115,6 +115,8 @@ def write_image(path, I: Tensor) -> None:
     arr = I.data
     if arr.ndim != 4 or arr.shape[0] != 1 or arr.shape[1] != 3:
         raise ValueError(f"write_image needs shape (1, 3, h, w), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: refusing to write an image that holds NaN or inf")
     _, _, h, w = arr.shape
     quant = np.clip(np.rint(arr[0] * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:

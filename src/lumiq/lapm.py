@@ -96,38 +96,11 @@ def inject_prompt(F: Tensor, P: Tensor, bank: PromptBank) -> Tensor:
     return ad.add(F, bank.inject2(h))
 
 
-def mean_prompt_weights(dataset_weights: list[PromptWeights]) -> np.ndarray:
-    """Per-prompt mean weight across all patches and images."""
-    if not dataset_weights:
-        raise ValueError("mean_prompt_weights needs a non-empty list")
-    stacked = np.concatenate([w.weights.data.reshape(-1, w.n_prompts) for w in dataset_weights])
-    return stacked.mean(axis=0)
-
-
-def prompt_weight_report(dataset_weights: list[PromptWeights]) -> list[tuple[int, float, float, float]]:
-    """(prompt_index, mean, min, max) rows across all patches and images."""
-    if not dataset_weights:
-        raise ValueError("prompt_weight_report needs a non-empty list")
-    stacked = np.concatenate([w.weights.data.reshape(-1, w.n_prompts) for w in dataset_weights])
-    return [
-        (k, float(stacked[:, k].mean()), float(stacked[:, k].min()), float(stacked[:, k].max()))
-        for k in range(stacked.shape[1])
-    ]
-
-
-def export_prompt_report_csv(rows: list[tuple[int, float, float, float]], path) -> None:
-    lines = ["prompt_index,mean_weight,min_weight,max_weight"]
-    lines += [f"{i},{m:.12g},{lo:.12g},{hi:.12g}" for i, m, lo, hi in rows]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 class PromptPyramid:
     """One PromptBank per decoder stage, with the plumbing the decoder
     calls during stage-2 forward passes.
 
-    Tracks the worst per-patch weight-sum deviation seen, and can
-    optionally collect full PromptWeights for reporting.
+    Tracks the worst per-patch weight-sum deviation seen.
     """
 
     def __init__(self, rng: np.random.Generator, channel_sizes: list[int], n_prompts: int = 5,
@@ -135,15 +108,12 @@ class PromptPyramid:
         self.banks = [PromptBank(rng, n_prompts, c, negative_slope) for c in channel_sizes]
         self.n_prompts = n_prompts
         self.max_weight_sum_dev = 0.0
-        self.collector: list[PromptWeights] | None = None
 
     def apply(self, level: int, F: Tensor, F_e: Tensor) -> Tensor:
         bank = self.banks[level]
         w = prompt_weights(F_e, bank, prompt_patch(F_e.data.shape[2]))
         dev = float(np.abs(w.weights.data.sum(axis=1) - 1.0).max())
         self.max_weight_sum_dev = max(self.max_weight_sum_dev, dev)
-        if self.collector is not None:
-            self.collector.append(w)
         P = compose_prompt(w, bank)
         return inject_prompt(F, P, bank)
 

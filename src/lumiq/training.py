@@ -39,7 +39,8 @@ from .networks import Decoder, Discriminator, Encoder, NetworkConfig, set_traina
 
 
 class CompatibilityError(RuntimeError):
-    """Checkpoint and config disagree on an architectural size."""
+    """A checkpoint cannot rebuild a working model: a missing, mis-shaped or
+    non-finite entry, or sizes the config disagrees on."""
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +330,13 @@ _CONFIG_KEYS = ("seed", "n_codes", "code_dim", "base_channels", "n_down", "n_pro
 
 
 def model_entries(model: Stage1Model | Stage2Model) -> dict[str, np.ndarray]:
-    """Checkpoint entries: architecture config, stage marker, parameters, code usage."""
+    """Checkpoint entries: architecture config, stage marker, parameters."""
     stage2 = isinstance(model, Stage2Model)
     entries = {f"config/{k}": np.asarray(float(getattr(model.cfg, k))) for k in _CONFIG_KEYS}
     entries["config/stage"] = np.asarray(2.0 if stage2 else 1.0)
     entries.update({f"config/{k}": np.asarray(float(getattr(model.cfg, k))) for k in _keys_of_type(bool) if stage2})
     for name, p in model.named_params():
         entries[name] = p.data
-    entries["codebook.usage"] = model.codebook.usage.astype(np.float64)
     return entries
 
 
@@ -347,6 +347,9 @@ def save_model(model, path) -> None:
 def load_any(path) -> Stage1Model | Stage2Model:
     """Rebuild the stage-1 or stage-2 model a checkpoint holds, under the config recorded in it."""
     entries = load_checkpoint(path)
+    for name, arr in entries.items():
+        if not np.isfinite(arr).all():
+            raise CompatibilityError(f"{path}: entry {name} holds NaN or inf")
     stage = int(entries.get("config/stage", np.asarray(0.0)).reshape(()))
     if stage not in (1, 2):
         raise CompatibilityError(f"{path}: unknown or missing stage marker")
@@ -368,7 +371,6 @@ def load_any(path) -> Stage1Model | Stage2Model:
         if entries[name].shape != p.data.shape:
             raise CompatibilityError(f"{name}: checkpoint shape {entries[name].shape} vs model shape {p.data.shape}")
         p.data[:] = entries[name]
-    model.codebook.usage[:] = entries["codebook.usage"].astype(np.int64)
     return model
 
 
@@ -459,10 +461,10 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
     return model, rows
 
 
-def reconstruct(image: Tensor, model: Stage1Model, update_usage: bool = False):
+def reconstruct(image: Tensor, model: Stage1Model):
     """Clean-path forward pass: encode, match codes, decode.  No grads."""
     Z, skips = model.encoder.forward(image)
-    res = quantize_nearest(Z, model.codebook, update_usage=update_usage)
+    res = quantize_nearest(Z, model.codebook)
     return model.decoder.forward(res.quantized, skips), res
 
 
@@ -554,7 +556,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
         # enhancer update: encoder copy, prompts, fusion
         set_trainable(disc_group, False)
         with_targets = model.encoder_ref.forward(I_nl)  # untracked: params frozen, inputs constant
-        Zq_h = quantize_nearest(with_targets[0], model.codebook, update_usage=False).quantized
+        Zq_h = quantize_nearest(with_targets[0], model.codebook).quantized
         Zq_h = Tensor(Zq_h.data)
         tape = Tape()
         with tape:
@@ -589,14 +591,14 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     return model, rows
 
 
-def enhance(image: Tensor, model: Stage2Model, update_usage: bool = False):
+def enhance(image: Tensor, model: Stage2Model):
     """Single deterministic forward pass of the trained enhancer.
 
     Any image size: the input runs through fit_image and the output is
     cropped back to it; the match result covers the padded code grid.
     """
     Z, skips = model.encoder.forward(fit_image(image, model.cfg.n_down, model.prompts is not None))
-    res = quantize_nearest(Z, model.codebook, update_usage=update_usage)
+    res = quantize_nearest(Z, model.codebook)
     out = model.decoder.forward(res.quantized, skips, prompts=model.prompts)
     h, w = image.data.shape[2:]
     if out.data.shape[2:] != (h, w):

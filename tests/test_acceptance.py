@@ -18,7 +18,7 @@ from conftest import ACCEPTANCE_RESULTS
 from lumiq import autodiff as ad
 from lumiq.autodiff import Tensor
 from lumiq.cli import run as cli_run, run_gradcheck
-from lumiq.codebook import Codebook, histogram_distance, quantize_nearest, codebook_matching_loss
+from lumiq.codebook import Codebook, activation_histogram, histogram_distance, quantize_nearest, codebook_matching_loss
 from lumiq.data import generate_pairs
 from lumiq.losses import feature_matching_loss, total_loss
 from lumiq.lqm import light_consistency_loss, lqm_contrastive_loss
@@ -166,7 +166,7 @@ def test_quantizer_oracle():
             tie_instances += 1
         else:
             Z = rng.normal(size=(1, d, h, w))
-        res = quantize_nearest(Tensor(Z), cb, update_usage=False)
+        res = quantize_nearest(Tensor(Z), cb)
         expected = exhaustive(Z, cb.codes.data)
         assert np.array_equal(res.indices, expected), f"seed {seed}"
         gathered = cb.codes.data[expected].transpose(0, 3, 1, 2)
@@ -302,11 +302,8 @@ def test_ablation_ordering(toy):
 @criterion("8 enhanced low-light code histogram moves toward the clean one")
 def test_code_activation_trend(toy):
     def usage(encoder, model, images):
-        model.codebook.reset_usage()
-        for image in images:
-            Z, _ = encoder.forward(image)
-            quantize_nearest(Z, model.codebook, update_usage=True)
-        return model.codebook.usage.copy()
+        return sum(activation_histogram([quantize_nearest(encoder.forward(image)[0], model.codebook)],
+                                        model.codebook.n_codes) for image in images)
 
     s1, s2 = toy["stage1"], toy["stage2"]
     held = toy["held_out"]

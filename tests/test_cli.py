@@ -254,6 +254,21 @@ class TestEnhance:
         assert "b.ppm: width 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_ckpt_exits_2_before_out_dir(self, workspace, tmp_path, capsys):
+        from lumiq.checkpoint import load_checkpoint, save_checkpoint
+
+        entries = load_checkpoint(workspace["s2"])
+        entries["decoder.final.weight"].flat[0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(entries, bad)
+        out = tmp_path / "x"
+        code = run(["enhance", "--ckpt", str(bad), "--images", str(workspace["data"] / "low_0000.ppm"),
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: enhance: CompatibilityError: {bad}: entry decoder.final.weight holds NaN or inf\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("side, padded", [(15, 16), (30, 32), (36, 40), (44, 48)])
     def test_any_size_is_padded_and_cropped_back(self, workspace, tmp_path, side, padded):
         odd = tmp_path / "odd.ppm"

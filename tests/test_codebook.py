@@ -17,7 +17,6 @@ from lumiq.codebook import (
     export_histogram_csv,
     histogram_distance,
     quantize_nearest,
-    top_k_codes,
 )
 
 
@@ -121,18 +120,6 @@ class TestQuantizeNearest:
             for j in range(10):
                 assert chosen <= ((v - cb.codes.data[j]) ** 2).sum() + 1e-15
 
-    def test_usage_counters(self):
-        cb = make_codebook(4, 2, 9, codes=np.array([[0.0, 0.0], [10, 10], [20, 20], [30, 30.0]]))
-        Z = Tensor(np.zeros((1, 2, 2, 2)))
-        quantize_nearest(Z, cb)
-        np.testing.assert_array_equal(cb.usage, [4, 0, 0, 0])
-        quantize_nearest(Z, cb)
-        np.testing.assert_array_equal(cb.usage, [8, 0, 0, 0])
-        cb.reset_usage()
-        assert cb.usage.sum() == 0
-        quantize_nearest(Z, cb, update_usage=False)
-        assert cb.usage.sum() == 0
-
     def test_dim_mismatch_raises(self):
         cb = make_codebook(4, 3, 10)
         with pytest.raises(ShapeError):
@@ -202,7 +189,8 @@ class TestScreenAgreesWithDifferenceScan:
                 warnings.simplefilter("error")
                 res = quantize_nearest(Tensor(Z), cb)
             np.testing.assert_array_equal(res.indices.reshape(-1), want)
-        assert cb.usage.sum() == 2 * p
+            np.testing.assert_array_equal(activation_histogram([res], len(codes)),
+                                          np.bincount(want, minlength=len(codes)))
         return want
 
     def test_midpoints_of_two_codes(self):
@@ -378,23 +366,6 @@ class TestHistograms:
     def test_distance_zero_sum_raises(self):
         with pytest.raises(ValueError):
             histogram_distance(np.zeros(3), np.array([1.0, 2, 3]))
-
-    def test_top_k_hand_case(self):
-        assert top_k_codes(np.array([5, 1, 9]), 2) == [(2, 9), (0, 5)]
-
-    def test_top_k_tie_rule(self):
-        assert top_k_codes(np.array([4, 4, 4, 4]), 3) == [(0, 4), (1, 4), (2, 4)]
-
-    def test_top_k_matches_sort_oracle(self):
-        rng = np.random.default_rng(21)
-        counts = rng.integers(0, 30, size=20)
-        got = top_k_codes(counts, 10)
-        oracle = sorted(((int(c), int(i)) for i, c in enumerate(counts)), key=lambda t: (-t[0], t[1]))
-        assert got == [(i, c) for c, i in oracle[:10]]
-
-    def test_top_k_too_large_raises(self):
-        with pytest.raises(ValueError):
-            top_k_codes(np.array([1, 2]), 3)
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "hist.csv"

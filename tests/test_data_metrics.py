@@ -1,5 +1,7 @@
 """Synthetic scenes, degradation properties, metrics oracles, PPM I/O."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,15 @@ class TestPpm:
         back = read_image(path)
         assert np.abs(back.data - I.data).max() <= 0.5 / 255.0 + 1e-12
         assert back.data.min() >= 0.0 and back.data.max() <= 1.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_refused_before_open(self, tmp_path, value):
+        arr = np.full((1, 3, 4, 4), 0.5)
+        arr[0, 1, 2, 3] = value
+        path = tmp_path / "img.ppm"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: refusing to write an image that holds NaN or inf$"):
+            write_image(path, Tensor(arr))
+        assert not path.exists()
 
     def test_bad_magic_names_offset(self, tmp_path):
         path = tmp_path / "bad.ppm"

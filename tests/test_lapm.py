@@ -10,10 +10,7 @@ from lumiq.lapm import (
     PromptPyramid,
     PromptWeights,
     compose_prompt,
-    export_prompt_report_csv,
     inject_prompt,
-    mean_prompt_weights,
-    prompt_weight_report,
     prompt_weights,
 )
 
@@ -217,49 +214,6 @@ class TestInjectPrompt:
             inject_prompt(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 2, 8, 8))), bank)
 
 
-class TestWeightStatistics:
-    def test_uniform_single_image(self):
-        w = PromptWeights(Tensor(np.full((4, 5, 1, 1), 0.2)), 2, 2, 2)
-        np.testing.assert_allclose(mean_prompt_weights([w]), np.full(5, 0.2), atol=1e-15)
-
-    def test_two_one_hot_images(self):
-        w0 = one_hot_weights(4, 4, 0, 2, 2, 2)
-        w1 = one_hot_weights(4, 4, 1, 2, 2, 2)
-        np.testing.assert_allclose(mean_prompt_weights([w0, w1]), [0.5, 0.5, 0.0, 0.0], atol=1e-15)
-
-    def test_matches_direct_mean_oracle(self):
-        rng = np.random.default_rng(22)
-        ws = []
-        raw = []
-        for _ in range(3):
-            data = rng.dirichlet(np.ones(4), size=6).reshape(6, 4, 1, 1)
-            ws.append(PromptWeights(Tensor(data), 3, 2, 2))
-            raw.append(data.reshape(6, 4))
-        want = np.concatenate(raw).mean(axis=0)
-        got = mean_prompt_weights(ws)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-        assert abs(got.sum() - 1.0) < 1e-10
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            mean_prompt_weights([])
-        with pytest.raises(ValueError):
-            prompt_weight_report([])
-
-    def test_report_and_csv(self, tmp_path):
-        w0 = one_hot_weights(2, 3, 0, 1, 2, 2)
-        w1 = one_hot_weights(2, 3, 2, 1, 2, 2)
-        rows = prompt_weight_report([w0, w1])
-        assert rows[0] == (0, 0.5, 0.0, 1.0)
-        assert rows[1] == (1, 0.0, 0.0, 0.0)
-        assert rows[2] == (2, 0.5, 0.0, 1.0)
-        path = tmp_path / "prompts.csv"
-        export_prompt_report_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "prompt_index,mean_weight,min_weight,max_weight"
-        assert lines[1] == "0,0.5,0,1"
-
-
 class TestPromptPyramid:
     def test_apply_preserves_shape_and_tracks_deviation(self):
         rng = np.random.default_rng(23)
@@ -271,11 +225,3 @@ class TestPromptPyramid:
         out = pyramid.apply(1, F1, Tensor(rng.normal(size=(2, 8, 8, 8))))
         assert out.data.shape == F1.data.shape
         assert pyramid.max_weight_sum_dev < 1e-10
-
-    def test_collector_gathers_weights(self):
-        rng = np.random.default_rng(25)
-        pyramid = PromptPyramid(np.random.default_rng(26), channel_sizes=[3], n_prompts=4)
-        pyramid.collector = []
-        pyramid.apply(0, Tensor(rng.normal(size=(1, 3, 8, 8))), Tensor(rng.normal(size=(1, 3, 8, 8))))
-        assert len(pyramid.collector) == 1
-        assert pyramid.collector[0].n_prompts == 4

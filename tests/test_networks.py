@@ -1,5 +1,7 @@
 """Encoder/decoder/discriminator shape, freeze, and gradient contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -293,4 +295,14 @@ class TestCheckpoint:
         save_checkpoint({"w": np.ones(2)}, path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_non_utf8_entry_name_raises(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"ab": np.ones(2)}, path)
+        blob = path.read_bytes()
+        # magic (6 bytes), entry count (4), name length (2), then the name "ab"
+        assert blob[12:14] == b"ab"
+        path.write_bytes(blob[:13] + b"\xff" + blob[14:])
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: entry name not valid utf-8 at byte 13$"):
             load_checkpoint(path)

@@ -9,8 +9,9 @@ generate_pairs(12, 32, seed=3), then pretrain_vqgan and train_enhancer
 under TrainConfig(seed=0, stage1_iters=20, stage2_iters=40, lqm_warmup=3),
 saving both checkpoints.  For each stage the script prints the largest
 relative difference between the two runs' loss rows, how many
-checkpoint tensors are bit-identical, and the largest elementwise
-relative difference over the checkpoint tensors.  Each tree's stage-2 model
+checkpoint tensors are bit-identical, the largest elementwise relative
+difference over the tensors both checkpoints hold, and the name of each
+tensor that only one of them holds.  Each tree's stage-2 model
 then enhances one 256x256 generate_pairs image, a size whose convs run far
 more GEMM rows than any training shape; the script prints whether the two
 float outputs are bit-identical and their largest relative difference.
@@ -114,18 +115,17 @@ def max_relative_difference(a, b) -> float:
     return float(np.where(scale > 0, diff / np.where(scale > 0, scale, 1.0), 0.0).max(initial=0.0))
 
 
-def compare_checkpoints(path_a: Path, path_b: Path) -> tuple[int, int, float]:
+def compare_checkpoints(path_a: Path, path_b: Path) -> tuple[int, int, float, list[str], list[str]]:
     """(bit-identical tensors, tensors named in either checkpoint, largest
-    elementwise relative difference; inf if a tensor is missing or reshaped)."""
+    elementwise relative difference over the shared tensors, inf if one is
+    reshaped; the names only in a, and those only in b)."""
     from lumiq.checkpoint import load_checkpoint
 
     a, b = load_checkpoint(path_a), load_checkpoint(path_b)
-    names = a.keys() | b.keys()
-    same = sum(1 for name in a.keys() & b.keys()
-               if a[name].shape == b[name].shape and a[name].tobytes() == b[name].tobytes())
-    worst = max((max_relative_difference(a[name], b[name]) if name in a and name in b else float("inf")
-                 for name in names), default=0.0)
-    return same, len(names), worst
+    shared = a.keys() & b.keys()
+    same = sum(1 for name in shared if a[name].shape == b[name].shape and a[name].tobytes() == b[name].tobytes())
+    worst = max((max_relative_difference(a[name], b[name]) for name in shared), default=0.0)
+    return same, len(a.keys() | b.keys()), worst, sorted(a.keys() - b.keys()), sorted(b.keys() - a.keys())
 
 
 def main(argv: list[str]) -> int:
@@ -146,11 +146,13 @@ def main(argv: list[str]) -> int:
         print(f"parity: {rev} vs working tree")
         for stage in ("stage1", "stage2"):
             diff = max_relative_difference(rows_rev[stage], rows_now[stage])
-            same, total, worst = compare_checkpoints(tmp / "out_rev" / f"{stage}.ckpt",
-                                                     tmp / "out_now" / f"{stage}.ckpt")
+            same, total, worst, only_rev, only_now = compare_checkpoints(tmp / "out_rev" / f"{stage}.ckpt",
+                                                                         tmp / "out_now" / f"{stage}.ckpt")
             print(f"{stage}: {len(rows_now[stage])} loss rows, max relative difference {diff:.3g}; "
                   f"{same} of {total} checkpoint tensors bit-identical, "
-                  f"max elementwise relative difference {worst:.3g}")
+                  f"max elementwise relative difference over shared tensors {worst:.3g}"
+                  + (f"; only at {rev}: {', '.join(only_rev)}" if only_rev else "")
+                  + (f"; only here: {', '.join(only_now)}" if only_now else ""))
         enh_rev, enh_now = (np.load(tmp / out / "enhanced256.npy") for out in ("out_rev", "out_now"))
         print(f"enhance 256x256: outputs {'bit-identical' if enh_rev.tobytes() == enh_now.tobytes() else 'DIFFER'}, "
               f"max relative difference {max_relative_difference(enh_rev, enh_now):.3g}")
