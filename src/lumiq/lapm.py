@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .networks import Conv
+from .networks import SLOPE, Conv
 
 
 @dataclass
@@ -30,15 +30,11 @@ class PromptBank:
     """Prompt vectors plus the shrink/compose/inject parameters for one
     injection site.  Prompt dimension equals the site's channel count."""
 
-    def __init__(self, rng: np.random.Generator, n_prompts: int, dim: int,
-                 negative_slope: float = 0.2):
-        if n_prompts < 1:
-            raise ValueError(f"need at least one prompt, got {n_prompts}")
+    def __init__(self, rng: np.random.Generator, n_prompts: int, dim: int):
         self.n_prompts = n_prompts
         self.dim = dim
-        self.negative_slope = negative_slope
         self.prompts = Tensor(rng.normal(0.0, 0.02, size=(n_prompts, dim)), requires_grad=True)
-        self.shrink = Conv(rng, dim, n_prompts, 1, pad=0)
+        self.shrink = Conv(rng, dim, n_prompts, 1)
         self.compose = Conv(rng, dim, dim, 3)
         self.inject1 = Conv(rng, 2 * dim, dim, 3)
         self.inject2 = Conv(rng, dim, dim, 3)
@@ -92,7 +88,7 @@ def inject_prompt(F: Tensor, P: Tensor, bank: PromptBank) -> Tensor:
     residual block: F + conv(act(conv([F, P])))."""
     if F.data.shape != P.data.shape:
         raise ShapeError(f"inject_prompt: shapes {F.data.shape} and {P.data.shape} differ")
-    h = ad.leaky_relu(bank.inject1(ad.concat_channels(F, P)), bank.negative_slope)
+    h = ad.leaky_relu(bank.inject1(ad.concat_channels(F, P)), SLOPE)
     return ad.add(F, bank.inject2(h))
 
 
@@ -103,10 +99,8 @@ class PromptPyramid:
     Tracks the worst per-patch weight-sum deviation seen.
     """
 
-    def __init__(self, rng: np.random.Generator, channel_sizes: list[int], n_prompts: int = 5,
-                 negative_slope: float = 0.2):
-        self.banks = [PromptBank(rng, n_prompts, c, negative_slope) for c in channel_sizes]
-        self.n_prompts = n_prompts
+    def __init__(self, rng: np.random.Generator, channel_sizes: list[int], n_prompts: int):
+        self.banks = [PromptBank(rng, n_prompts, c) for c in channel_sizes]
         self.max_weight_sum_dev = 0.0
 
     def apply(self, level: int, F: Tensor, F_e: Tensor) -> Tensor:

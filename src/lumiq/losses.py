@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .networks import Conv, set_trainable
+from .networks import IMAGE_CHANNELS, SLOPE, Conv, set_trainable
 
 
 class DivergenceError(RuntimeError):
@@ -65,11 +65,10 @@ class PerceptualExtractor:
     """Fixed seeded 3-stage conv pyramid standing in for a pretrained
     perceptual network.  Parameters never train."""
 
-    def __init__(self, seed: int, image_channels: int = 3, negative_slope: float = 0.2):
+    def __init__(self, seed: int):
         rng = np.random.default_rng(seed)
-        self.negative_slope = negative_slope
         self.convs = [
-            Conv(rng, image_channels, 8, 3, stride=2),
+            Conv(rng, IMAGE_CHANNELS, 8, 3, stride=2),
             Conv(rng, 8, 16, 3, stride=2),
             Conv(rng, 16, 32, 3, stride=2),
         ]
@@ -80,7 +79,7 @@ class PerceptualExtractor:
         feats = []
         x = I
         for conv in self.convs:
-            x = ad.leaky_relu(conv(x), self.negative_slope)
+            x = ad.leaky_relu(conv(x), SLOPE)
             feats.append(x)
         return feats
 

@@ -13,7 +13,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .networks import Conv
+from .networks import SLOPE, Conv
+
+HIDDEN = 32  # width of the hidden layer between each Gram and its factor
 
 
 class DegenerateFactorError(ValueError):
@@ -23,13 +25,11 @@ class DegenerateFactorError(ValueError):
 class LqmState:
     """Per-level two-affine-layer maps from flattened Grams to factors."""
 
-    def __init__(self, rng: np.random.Generator, channel_sizes: list[int], d_l: int = 16,
-                 hidden: int = 32, negative_slope: float = 0.2):
+    def __init__(self, rng: np.random.Generator, channel_sizes: list[int], d_l: int):
         self.d_l = d_l
-        self.negative_slope = negative_slope
         self.layers: list[tuple[Conv, Conv]] = []
         for c in channel_sizes:
-            self.layers.append((Conv(rng, c * c, hidden, 1, pad=0), Conv(rng, hidden, d_l, 1, pad=0)))
+            self.layers.append((Conv(rng, c * c, HIDDEN, 1), Conv(rng, HIDDEN, d_l, 1)))
 
     def named_params(self, prefix: str = "lqm"):
         out = []
@@ -51,7 +51,7 @@ def light_factors(skips: list[Tensor], lqm: LqmState) -> list[Tensor]:
     for feat, (first, second) in zip(skips, lqm.layers):
         b, c = feat.data.shape[:2]
         flat = ad.reshape(ad.gram(feat), (b, c * c, 1, 1))
-        hidden = ad.leaky_relu(first(flat), lqm.negative_slope)
+        hidden = ad.leaky_relu(first(flat), SLOPE)
         out.append(ad.reshape(second(hidden), (b, lqm.d_l)))
     return out
 

@@ -4,45 +4,37 @@ The encoder halves resolution n_down times and maps to the code
 dimension.  The decoder mirrors it with nearest-neighbor upsampling,
 fusing the matching encoder skip at every stage through a learned
 affine (alpha * F_d + beta).  Prompt injection, when a prompt pyramid is
-supplied, happens right after each fusion.
+supplied, happens right after each fusion.  The sizes base_channels,
+n_down and code_dim come from the run's TrainConfig.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
-@dataclass
-class NetworkConfig:
-    base_channels: int = 16
-    n_down: int = 2
-    code_dim: int = 32
-    image_channels: int = 3
-    negative_slope: float = 0.2
+SLOPE = 0.2  # leaky-relu negative slope of every network in the model
+IMAGE_CHANNELS = 3
 
-    def __post_init__(self):
-        if self.n_down < 1:
-            raise ValueError(f"n_down must be >= 1, got {self.n_down}")
-        if min(self.base_channels, self.code_dim, self.image_channels) < 1:
-            raise ValueError("channel counts must be positive")
 
-    def tap_channels(self) -> list[int]:
-        """Channels of the encoder's skip feature at each tap."""
-        return [self.base_channels * 2 ** i for i in range(self.n_down)]
+def tap_channels(cfg: TrainConfig) -> list[int]:
+    """Channels of the encoder's skip feature at each tap."""
+    return [cfg.base_channels * 2 ** i for i in range(cfg.n_down)]
 
 
 class Conv:
-    """3x3 (or kxk) conv layer with fan-in-scaled uniform init."""
+    """kxk conv layer padded by k // 2, with fan-in-scaled uniform init."""
 
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, k: int = 3,
-                 stride: int = 1, pad: int | None = None):
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, k: int = 3, stride: int = 1):
         self.stride = stride
-        self.pad = k // 2 if pad is None else pad
+        self.pad = k // 2
         bound = 1.0 / np.sqrt(c_in * k * k)
         self.weight = Tensor(rng.uniform(-bound, bound, size=(c_out, c_in, k, k)), requires_grad=True)
         self.bias = Tensor(rng.uniform(-bound, bound, size=c_out), requires_grad=True)
@@ -57,13 +49,12 @@ class Conv:
 class ResnetBlock:
     """F + conv(act(conv(F))) with channel-preserving 3x3 convs."""
 
-    def __init__(self, rng: np.random.Generator, channels: int, negative_slope: float = 0.2):
+    def __init__(self, rng: np.random.Generator, channels: int):
         self.conv1 = Conv(rng, channels, channels, 3)
         self.conv2 = Conv(rng, channels, channels, 3)
-        self.negative_slope = negative_slope
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = ad.leaky_relu(self.conv1(x), self.negative_slope)
+        h = ad.leaky_relu(self.conv1(x), SLOPE)
         return ad.add(x, self.conv2(h))
 
     def named_params(self, prefix: str):
@@ -106,27 +97,27 @@ class Encoder:
     """n_down stages of (stride-2 conv, leaky-relu, resnet block), then a
     3x3 conv to the code dimension.  Returns per-stage skip features."""
 
-    def __init__(self, cfg: NetworkConfig, rng: np.random.Generator):
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.downs: list[Conv] = []
         self.blocks: list[ResnetBlock] = []
-        c_in = cfg.image_channels
-        for c_out in cfg.tap_channels():
+        c_in = IMAGE_CHANNELS
+        for c_out in tap_channels(cfg):
             self.downs.append(Conv(rng, c_in, c_out, 3, stride=2))
-            self.blocks.append(ResnetBlock(rng, c_out, cfg.negative_slope))
+            self.blocks.append(ResnetBlock(rng, c_out))
             c_in = c_out
         self.to_code = Conv(rng, c_in, cfg.code_dim, 3)
 
     def forward(self, I: Tensor) -> tuple[Tensor, list[Tensor]]:
-        if I.data.ndim != 4 or I.data.shape[1] != self.cfg.image_channels:
-            raise ShapeError(f"encoder expects (b, {self.cfg.image_channels}, h, w), got {I.data.shape}")
+        if I.data.ndim != 4 or I.data.shape[1] != IMAGE_CHANNELS:
+            raise ShapeError(f"encoder expects (b, {IMAGE_CHANNELS}, h, w), got {I.data.shape}")
         factor = 2 ** self.cfg.n_down
         if I.data.shape[2] % factor or I.data.shape[3] % factor:
             raise ShapeError(f"encoder: spatial dims of {I.data.shape} not divisible by {factor}")
         x = I
         skips = []
         for down, block in zip(self.downs, self.blocks):
-            x = ad.leaky_relu(down(x), self.cfg.negative_slope)
+            x = ad.leaky_relu(down(x), SLOPE)
             x = block(x)
             skips.append(x)
         return self.to_code(x), skips
@@ -148,9 +139,9 @@ class Decoder:
     after the core is locked.
     """
 
-    def __init__(self, cfg: NetworkConfig, rng: np.random.Generator):
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
         self.cfg = cfg
-        chans = cfg.tap_channels()
+        chans = tap_channels(cfg)
         self.from_code = Conv(rng, cfg.code_dim, chans[-1], 3)
         self.fusions: list[SkipFusion] = []
         self.blocks: list[ResnetBlock] = []
@@ -158,23 +149,23 @@ class Decoder:
         for j, ch in enumerate(chans):
             ch_next = chans[max(j - 1, 0)]
             self.fusions.append(SkipFusion(rng, ch))
-            self.blocks.append(ResnetBlock(rng, ch, cfg.negative_slope))
+            self.blocks.append(ResnetBlock(rng, ch))
             self.ups.append(Conv(rng, ch, ch_next, 3))
-        self.final = Conv(rng, cfg.base_channels, cfg.image_channels, 3)
+        self.final = Conv(rng, cfg.base_channels, IMAGE_CHANNELS, 3)
 
     def forward(self, Z_q: Tensor, skips: list[Tensor], prompts=None) -> Tensor:
         if Z_q.data.ndim != 4 or Z_q.data.shape[1] != self.cfg.code_dim:
             raise ShapeError(f"decoder expects code dim {self.cfg.code_dim}, got {Z_q.data.shape}")
         if len(skips) != self.cfg.n_down:
             raise ShapeError(f"decoder needs {self.cfg.n_down} skips, got {len(skips)}")
-        x = ad.leaky_relu(self.from_code(Z_q), self.cfg.negative_slope)
+        x = ad.leaky_relu(self.from_code(Z_q), SLOPE)
         for j in range(self.cfg.n_down - 1, -1, -1):
             x = self.fusions[j](x, skips[j])
             if prompts is not None:
                 x = prompts.apply(j, x, skips[j])
             x = self.blocks[j](x)
             x = ad.upsample_nearest(x, 2)
-            x = ad.leaky_relu(self.ups[j](x), self.cfg.negative_slope)
+            x = ad.leaky_relu(self.ups[j](x), SLOPE)
         return ad.sigmoid(self.final(x))
 
     def core_named_params(self, prefix: str = "decoder"):
@@ -195,17 +186,15 @@ class Decoder:
 class Discriminator:
     """3-layer strided patch discriminator emitting a logit map."""
 
-    def __init__(self, cfg: NetworkConfig, rng: np.random.Generator):
-        self.cfg = cfg
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
         c = max(cfg.base_channels // 2, 4)
-        self.conv1 = Conv(rng, cfg.image_channels, c, 3, stride=2)
+        self.conv1 = Conv(rng, IMAGE_CHANNELS, c, 3, stride=2)
         self.conv2 = Conv(rng, c, 2 * c, 3, stride=2)
         self.conv3 = Conv(rng, 2 * c, 1, 3, stride=1)
 
     def forward(self, I: Tensor) -> Tensor:
-        s = self.cfg.negative_slope
-        h = ad.leaky_relu(self.conv1(I), s)
-        h = ad.leaky_relu(self.conv2(h), s)
+        h = ad.leaky_relu(self.conv1(I), SLOPE)
+        h = ad.leaky_relu(self.conv2(h), SLOPE)
         return self.conv3(h)
 
     def named_params(self, prefix: str = "disc"):

@@ -35,7 +35,7 @@ from .losses import (
     write_loss_csv,
 )
 from .lqm import LqmState, light_consistency_loss, light_factors, lqm_contrastive_loss
-from .networks import Decoder, Discriminator, Encoder, NetworkConfig, set_trainable
+from .networks import Decoder, Discriminator, Encoder, set_trainable, tap_channels
 
 
 class CompatibilityError(RuntimeError):
@@ -50,7 +50,7 @@ class CompatibilityError(RuntimeError):
 class OptimizerState:
     """Adam accumulators for one parameter group."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-4, beta1: float = 0.9,
+    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
         self.lr = lr
@@ -62,14 +62,12 @@ class OptimizerState:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: OptimizerState) -> list[Tensor]:
-    """Bias-corrected Adam update, in place."""
-    if len(params) != len(state.params) or any(a is not b for a, b in zip(params, state.params)):
-        raise ValueError("adam_step: params do not match the optimizer state's group")
+def adam_step(state: OptimizerState, grads: list[np.ndarray]) -> None:
+    """Bias-corrected Adam update of the state's params, in place."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for i, (p, g) in enumerate(zip(state.params, grads)):
         if g.shape != p.data.shape:
             raise ShapeError(f"adam_step: grad shape {g.shape} vs param shape {p.data.shape}")
         state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
@@ -77,7 +75,6 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: OptimizerSta
         m_hat = state.m[i] / (1.0 - b1 ** t)
         v_hat = state.v[i] / (1.0 - b2 ** t)
         p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return params
 
 
 def _step_group(named_params, state: OptimizerState, group: str) -> None:
@@ -86,13 +83,12 @@ def _step_group(named_params, state: OptimizerState, group: str) -> None:
     A non-finite gradient raises DivergenceError naming the group before
     Adam runs, so the parameters and the optimizer state stay as they were.
     """
-    params = [p for _, p in named_params]
-    grads = [p.grad_array() for p in params]
+    grads = [p.grad_array() for p in state.params]
     for (name, _), g in zip(named_params, grads):
         if not np.isfinite(g).all():
             raise DivergenceError(f"{group} group: gradient of {name} is not finite")
-    adam_step(params, grads, state)
-    ad.zero_grads(params)
+    adam_step(state, grads)
+    ad.zero_grads(state.params)
 
 
 def _disc_step(disc: Discriminator, real: Tensor, fake: Tensor, gamma: float, group,
@@ -194,10 +190,6 @@ class TrainConfig:
         if problem:
             raise ValueError(f"crop={self.crop} {problem}")
 
-    def network_config(self) -> NetworkConfig:
-        return NetworkConfig(base_channels=self.base_channels, n_down=self.n_down,
-                             code_dim=self.code_dim)
-
 
 @functools.cache
 def _config_kinds() -> dict[str, type]:
@@ -271,9 +263,8 @@ class Stage1Model:
     @classmethod
     def build(cls, cfg: TrainConfig, rng: np.random.Generator) -> Stage1Model:
         """Fresh model; encoder, decoder, codebook and discriminator draw from rng in that order."""
-        netcfg = cfg.network_config()
-        return cls(Encoder(netcfg, rng), Decoder(netcfg, rng), Codebook(cfg.n_codes, cfg.code_dim, rng),
-                   Discriminator(netcfg, rng), cfg)
+        return cls(Encoder(cfg, rng), Decoder(cfg, rng), Codebook(cfg.n_codes, cfg.code_dim, rng),
+                   Discriminator(cfg, rng), cfg)
 
     def named_params(self):
         """Every tensor a checkpoint stores, in checkpoint order."""
@@ -310,10 +301,10 @@ def _stage2_model(stage1: Stage1Model, cfg: TrainConfig, rng: np.random.Generato
     drawn from rng first so the LQM and prompt draws that follow keep
     their order.
     """
-    encoder2 = Encoder(cfg.network_config(), rng)
+    encoder2 = Encoder(cfg, rng)
     for (_, dst), (_, src) in zip(encoder2.named_params(), stage1.encoder.named_params()):
         dst.data[:] = src.data
-    channels = cfg.network_config().tap_channels()
+    channels = tap_channels(cfg)
     lqm = LqmState(rng, channels, d_l=cfg.d_l) if cfg.use_lqm else None
     prompts = PromptPyramid(rng, channels, n_prompts=cfg.n_prompts) if cfg.use_lapm else None
     model = Stage2Model(encoder2, stage1.encoder, stage1.decoder, stage1.codebook, stage1.disc,
@@ -344,6 +335,29 @@ def save_model(model, path) -> None:
     save_checkpoint(model_entries(model), path)
 
 
+def _check_recorded_sizes(recorded: dict, entries: dict[str, np.ndarray]) -> None:
+    """Raise CompatibilityError for the first recorded size its entry disagrees with.  It runs
+    before a config or model is built from them, so what a load allocates grows with the file."""
+    n_down = recorded["n_down"]
+    found = next(i for i in itertools.count() if f"encoder.down{i}.weight" not in entries)
+    if found != n_down:
+        raise CompatibilityError(f"config/n_down is {n_down}, but encoder.down{min(found, n_down)}.weight is "
+                                 + ("missing" if found < n_down else "present"))
+    checks = [("n_codes", "codebook.codes", 0, recorded["n_codes"]),
+              ("code_dim", "codebook.codes", 1, recorded["code_dim"])]
+    checks += [("base_channels", f"encoder.down{i}.weight", 0, recorded["base_channels"] * 2 ** i)
+               for i in range(n_down)]
+    checks += [("n_prompts", "prompt.level0.prompts", 0, recorded["n_prompts"])] if recorded["use_lapm"] else []
+    checks += [("d_l", "lqm.level0.affine2.weight", 0, recorded["d_l"])] if recorded["use_lqm"] else []
+    for key, name, axis, want in checks:
+        if name not in entries:
+            raise CompatibilityError(f"checkpoint missing parameter {name}")
+        shape = entries[name].shape
+        if len(shape) <= axis or shape[axis] != want:
+            raise CompatibilityError(f"config/{key} is {recorded[key]}, so {name} needs {want} along axis {axis}, "
+                                     f"but has shape {shape}")
+
+
 def load_any(path) -> Stage1Model | Stage2Model:
     """Rebuild the stage-1 or stage-2 model a checkpoint holds, under the config recorded in it."""
     entries = load_checkpoint(path)
@@ -359,8 +373,10 @@ def load_any(path) -> Stage1Model | Stage2Model:
     # a missing use_* flag reads as on in stage 2 and as off in stage 1, which has
     # no prompts, so its crop is not held to the prompt-patch rule
     default = np.asarray(float(stage == 2))
-    cfg = TrainConfig(**{k: int(entries[f"config/{k}"].reshape(())) for k in _CONFIG_KEYS},
-                      **{k: bool(entries.get(f"config/{k}", default).reshape(())) for k in _keys_of_type(bool)})
+    recorded = {k: int(entries[f"config/{k}"].reshape(())) for k in _CONFIG_KEYS}
+    recorded.update({k: bool(entries.get(f"config/{k}", default).reshape(())) for k in _keys_of_type(bool)})
+    _check_recorded_sizes(recorded, entries)
+    cfg = TrainConfig(**recorded)
     rng = np.random.default_rng(0)
     model = Stage1Model.build(cfg, rng)
     if stage == 2:

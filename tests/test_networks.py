@@ -12,22 +12,22 @@ from lumiq.networks import (
     Decoder,
     Discriminator,
     Encoder,
-    NetworkConfig,
     ResnetBlock,
     SkipFusion,
     set_trainable,
 )
+from lumiq.training import TrainConfig
 
 
 def tiny_cfg(**kw):
-    base = dict(base_channels=4, n_down=2, code_dim=6, image_channels=3)
+    base = dict(base_channels=4, n_down=2, code_dim=6)
     base.update(kw)
-    return NetworkConfig(**base)
+    return TrainConfig(**base)
 
 
 class TestEncoder:
     def test_shape_contract(self):
-        cfg = NetworkConfig(base_channels=4, n_down=3, code_dim=32)
+        cfg = TrainConfig(base_channels=4, n_down=3, code_dim=32)
         enc = Encoder(cfg, np.random.default_rng(0))
         Z, skips = enc.forward(Tensor(np.random.default_rng(1).uniform(size=(1, 3, 32, 32))))
         assert Z.data.shape == (1, 32, 4, 4)
@@ -204,10 +204,10 @@ class TestResnetBlock:
         np.testing.assert_array_equal(block(F).data, F.data)
 
     def test_linear_configuration_is_homogeneous(self):
-        # slope 1 makes the activation the identity; zero biases make the
-        # block linear, so block(2F) = 2 block(F) exactly
+        # zero biases make the block positively homogeneous (leaky-relu is,
+        # at any slope), and doubling is exact, so block(2F) = 2 block(F)
         rng = np.random.default_rng(25)
-        block = ResnetBlock(rng, 2, negative_slope=1.0)
+        block = ResnetBlock(rng, 2)
         block.conv1.bias.data[:] = 0.0
         block.conv2.bias.data[:] = 0.0
         F = rng.normal(size=(1, 2, 4, 4))

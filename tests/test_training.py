@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from lumiq import autodiff as ad
 from lumiq.autodiff import ShapeError, Tensor
 from lumiq.data import ImagePair, generate_pairs, synth_scene
 from lumiq.losses import DivergenceError
-from lumiq.networks import NetworkConfig, Encoder
+from lumiq.networks import Encoder
 from lumiq.training import (
     CompatibilityError,
     OptimizerState,
@@ -97,7 +96,7 @@ class TestAdam:
                   Tensor(rng.normal(size=5), requires_grad=True)]
         before = [p.data.copy() for p in params]
         state = OptimizerState(params, lr=0.1)
-        adam_step(params, [np.zeros((3, 4)), np.zeros(5)], state)
+        adam_step(state, [np.zeros((3, 4)), np.zeros(5)])
         for b, p in zip(before, params):
             assert np.array_equal(b, p.data)
 
@@ -108,7 +107,7 @@ class TestAdam:
         p = Tensor(np.ones((2, 3)), requires_grad=True)
         lr, eps = 1e-4, 1e-8
         state = OptimizerState([p], lr=lr, eps=eps)
-        adam_step([p], [g.copy()], state)
+        adam_step(state, [g.copy()])
         expected = 1.0 - lr * g / (np.abs(g) + eps)
         np.testing.assert_allclose(p.data, expected, rtol=1e-12, atol=0)
 
@@ -119,7 +118,7 @@ class TestAdam:
         state = OptimizerState([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
         got = []
         for _ in range(10):
-            adam_step([p], [np.asarray(2.0 * p.data)], state)
+            adam_step(state, [np.asarray(2.0 * p.data)])
             got.append(float(p.data))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -127,7 +126,7 @@ class TestAdam:
         p = Tensor(np.asarray(3.0), requires_grad=True)
         state = OptimizerState([p], lr=0.1)
         for _ in range(500):
-            adam_step([p], [np.asarray(2.0 * p.data)], state)
+            adam_step(state, [np.asarray(2.0 * p.data)])
         assert abs(float(p.data)) < 1e-2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -148,24 +147,17 @@ class TestAdam:
 
     def test_grad_shape_mismatch_raises(self):
         p = Tensor(np.zeros((2, 2)), requires_grad=True)
-        state = OptimizerState([p])
+        state = OptimizerState([p], lr=0.1)
         with pytest.raises(ShapeError):
-            adam_step([p], [np.zeros(3)], state)
-
-    def test_foreign_param_group_raises(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        q = Tensor(np.zeros(2), requires_grad=True)
-        state = OptimizerState([p])
-        with pytest.raises(ValueError):
-            adam_step([q], [np.zeros(2)], state)
+            adam_step(state, [np.zeros(3)])
 
     def test_momentum_state_accumulates(self):
         p = Tensor(np.asarray(0.0), requires_grad=True)
         state = OptimizerState([p], lr=0.1)
         g = np.asarray(1.0)
-        adam_step([p], [g], state)
+        adam_step(state, [g])
         first = float(p.data)
-        adam_step([p], [g], state)
+        adam_step(state, [g])
         second = float(p.data) - first
         assert state.step_count == 2
         # constant gradient: both bias-corrected steps move by -lr*g/(|g|+eps)
@@ -379,6 +371,27 @@ class TestCheckpointing:
             assert before.keys() == after.keys()
             for key in before:
                 assert np.array_equal(before[key], after[key]), key
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("config/n_codes", 17, r"config/n_codes is 17, so codebook\.codes needs 17 along axis 0"),
+        ("config/code_dim", 9, r"config/code_dim is 9, so codebook\.codes needs 9 along axis 1"),
+        ("config/base_channels", 5, r"config/base_channels is 5, so encoder\.down0\.weight needs 5"),
+        ("config/n_down", 3, r"config/n_down is 3, but encoder\.down2\.weight is missing"),
+        ("config/n_down", 1, r"config/n_down is 1, but encoder\.down1\.weight is present"),
+        ("config/n_prompts", 4, r"config/n_prompts is 4, so prompt\.level0\.prompts needs 4"),
+        ("config/d_l", 7, r"config/d_l is 7, so lqm\.level0\.affine2\.weight needs 7"),
+        # every tap level's width is held to base_channels * 2**i, not only level 0's
+        ("encoder.down1.weight", np.zeros((9, 4, 3, 3)),
+         r"config/base_channels is 4, so encoder\.down1\.weight needs 8"),
+    ], ids=["n_codes", "code_dim", "base_channels", "n_down_above", "n_down_below", "n_prompts", "d_l", "tap1_width"])
+    def test_recorded_size_checked_before_build(self, stage2_tiny, tmp_path, monkeypatch, name, value, message):
+        from lumiq.checkpoint import save_checkpoint
+
+        entries = model_entries(stage2_tiny)
+        save_checkpoint({**entries, name: np.asarray(value, dtype=np.float64)}, tmp_path / "bad.ckpt")
+        monkeypatch.setattr(Stage1Model, "build", lambda *a: pytest.fail("model built before the size check"))
+        with pytest.raises(CompatibilityError, match=f"^{message}"):
+            load_any(tmp_path / "bad.ckpt")
 
     def test_missing_stage_marker_raises(self, tmp_path):
         from lumiq.checkpoint import save_checkpoint

@@ -25,7 +25,8 @@ train whose --codebook-size disagrees with its stage-1 checkpoint.  Every
 path is relative to the chain's own run directory, so output from the two
 trees needs no path rewriting.  It prints the exit codes, whether stdout
 and stderr match (with the differing stderr lines), and how many artifact
-files are byte-identical.  It exits 0 when every run finishes.
+files are byte-identical.  Last, it prints the line count of the *.py files
+under src/ in both trees.  It exits 0 when every run finishes.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ def read_tree(root: Path) -> dict[str, bytes]:
     return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def source_lines(tree: Path) -> int:
+    """Lines in the *.py files under tree's src/."""
+    return sum(len(path.read_bytes().splitlines()) for path in (tree / "src").rglob("*.py"))
+
+
 def max_relative_difference(a, b) -> float:
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -177,6 +183,7 @@ def main(argv: list[str]) -> int:
         differing = [name for name in names if files_rev.get(name) != files_now.get(name)]
         print(f"cli: {len(names) - len(differing)} of {len(names)} artifact files byte-identical"
               + (f"; differing: {', '.join(differing)}" if differing else ""))
+        print(f"src: {source_lines(rev_tree)} lines of *.py at {rev}, {source_lines(ROOT)} here")
     return 0
 
 
