@@ -28,14 +28,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
@@ -550,51 +542,6 @@ def upsample_nearest(x: Tensor, scale: int) -> Tensor:
     return out
 
 
-def unfold(x: Tensor, patch: int) -> Tensor:
-    """Split (b, c, h, w) into non-overlapping patches: (b*gh*gw, c, patch, patch).
-
-    Patch order is row-major over the grid, batch-major overall, so
-    fold() with the same grid restores the input exactly.
-    """
-    if x.data.ndim != 4:
-        raise ShapeError(f"unfold needs a 4-d input, got {x.data.shape}")
-    b, c, h, w = x.data.shape
-    if h % patch or w % patch:
-        raise ShapeError(f"unfold: patch {patch} does not divide spatial dims of {x.data.shape}")
-    gh, gw = h // patch, w // patch
-    blocks = x.data.reshape(b, c, gh, patch, gw, patch)
-    out_data = blocks.transpose(0, 2, 4, 1, 3, 5).reshape(b * gh * gw, c, patch, patch)
-    out = _result(out_data, (x,))
-
-    def grad_fn(g):
-        gb = g.reshape(b, gh, gw, c, patch, patch).transpose(0, 3, 1, 4, 2, 5)
-        return (gb.reshape(b, c, h, w),)
-
-    record(out, (x,), grad_fn)
-    return out
-
-
-def fold(patches: Tensor, grid_h: int, grid_w: int) -> Tensor:
-    """Inverse of unfold for the same grid: (b*gh*gw, c, p, p) -> (b, c, gh*p, gw*p)."""
-    if patches.data.ndim != 4:
-        raise ShapeError(f"fold needs a 4-d input, got {patches.data.shape}")
-    q, c, p, p2 = patches.data.shape
-    if p != p2:
-        raise ShapeError(f"fold: patches must be square, got {patches.data.shape}")
-    if q % (grid_h * grid_w):
-        raise ShapeError(f"fold: {q} patches do not fit a {grid_h}x{grid_w} grid")
-    b = q // (grid_h * grid_w)
-    blocks = patches.data.reshape(b, grid_h, grid_w, c, p, p).transpose(0, 3, 1, 4, 2, 5)
-    out = _result(blocks.reshape(b, c, grid_h * p, grid_w * p), (patches,))
-
-    def grad_fn(g):
-        gb = g.reshape(b, c, grid_h, p, grid_w, p).transpose(0, 2, 4, 1, 3, 5)
-        return (gb.reshape(q, c, p, p),)
-
-    record(out, (patches,), grad_fn)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # structured products
 
@@ -623,23 +570,25 @@ def gram(x: Tensor) -> Tensor:
 def mix_rows(weights: Tensor, rows: Tensor) -> Tensor:
     """Per-position convex mix of a row bank.
 
-    weights (q, n, 1, 1), rows (n, d) -> (q, d, 1, 1) where each output
-    position is the weight vector times the row matrix.
+    weights (b, n, h, w), rows (n, d) -> (b, d, h, w) where each output
+    position is that position's weight vector times the row matrix.  The
+    GEMM runs over the weights' channels-last rows, one per position.
     """
-    if weights.data.ndim != 4 or weights.data.shape[2:] != (1, 1):
-        raise ShapeError(f"mix_rows: weights must be (q, n, 1, 1), got {weights.data.shape}")
+    if weights.data.ndim != 4:
+        raise ShapeError(f"mix_rows: weights must be (b, n, h, w), got {weights.data.shape}")
     if rows.data.ndim != 2:
         raise ShapeError(f"mix_rows: rows must be 2-d, got {rows.data.shape}")
-    q, n = weights.data.shape[:2]
+    b, n, h, w = weights.data.shape
     if n != rows.data.shape[0]:
         raise ShapeError(f"mix_rows: {n} weights vs {rows.data.shape[0]} rows")
-    w2 = weights.data.reshape(q, n)
-    out_data = (w2 @ rows.data).reshape(q, rows.data.shape[1], 1, 1)
-    out = _result(out_data, (weights, rows))
+    d = rows.data.shape[1]
+    # a view when the weights are channels-last, as softmax over a conv output is
+    w2 = weights.data.transpose(0, 2, 3, 1).reshape(-1, n)
+    out = _result((w2 @ rows.data).reshape(b, h, w, d).transpose(0, 3, 1, 2), (weights, rows))
 
     def grad_fn(g):
-        g2 = g.reshape(q, rows.data.shape[1])
-        dw = (g2 @ rows.data.T).reshape(weights.data.shape) if weights.requires_grad else None
+        g2 = g.transpose(0, 2, 3, 1).reshape(-1, d)
+        dw = (g2 @ rows.data.T).reshape(b, h, w, n).transpose(0, 3, 1, 2) if weights.requires_grad else None
         dr = w2.T @ g2 if rows.requires_grad else None
         return dw, dr
 

@@ -338,7 +338,6 @@ def gradcheck_cases(seed: int):
     cases.append(("conv2d/1x1", lambda t: ad.sum_all(ad.square(ad.conv2d(t, w_1x1, b))), x_img))
     cases.append(("avg_pool2d", lambda t: ad.sum_all(ad.square(ad.avg_pool2d(t, 2))), x_img))
     cases.append(("upsample_nearest", lambda t: ad.sum_all(ad.square(ad.upsample_nearest(t, 2))), x_img))
-    cases.append(("unfold_fold", lambda t: ad.sum_all(ad.square(ad.fold(ad.unfold(t, 3), 2, 2))), x_img))
 
     x_soft = Tensor(rng.normal(size=(2, 5, 2, 2)))
     cases.append(("softmax_channels",
@@ -419,7 +418,7 @@ def gradcheck_cases(seed: int):
 
     def lapm_path(t):
         wts = prompt_weights(t, bank, 2)
-        return ad.sum_all(ad.square(inject_prompt(t, compose_prompt(wts, bank), bank)))
+        return ad.sum_all(ad.square(inject_prompt(t, compose_prompt(wts, bank, 2), bank)))
 
     cases.append(("prompt_pipeline", lapm_path, f_e))
 

@@ -1,11 +1,10 @@
-"""Light-aware prompts: a learnable vector bank weighted per patch by a
-softmax over pooled local features, composed into a spatial map, and
-injected channel-wise into decoder features.
+"""Light-aware prompts: a learnable vector bank weighted per patch cell by
+a softmax over pooled local features, composed into a spatial map, and
+injected channel-wise into decoder features.  Every step runs on the
+site's feature grid, one weight vector per patch x patch cell.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,25 +13,11 @@ from .autodiff import ShapeError, Tensor
 from .networks import SLOPE, Conv
 
 
-@dataclass
-class PromptWeights:
-    weights: Tensor  # (batch * grid_h * grid_w, n_prompts, 1, 1)
-    grid_h: int
-    grid_w: int
-    patch: int
-
-    @property
-    def n_prompts(self) -> int:
-        return self.weights.data.shape[1]
-
-
 class PromptBank:
     """Prompt vectors plus the shrink/compose/inject parameters for one
     injection site.  Prompt dimension equals the site's channel count."""
 
     def __init__(self, rng: np.random.Generator, n_prompts: int, dim: int):
-        self.n_prompts = n_prompts
-        self.dim = dim
         self.prompts = Tensor(rng.normal(0.0, 0.02, size=(n_prompts, dim)), requires_grad=True)
         self.shrink = Conv(rng, dim, n_prompts, 1)
         self.compose = Conv(rng, dim, dim, 3)
@@ -54,33 +39,19 @@ def prompt_patch(side: int) -> int:
     return max(side // 4, 1)
 
 
-def prompt_weights(F_e: Tensor, bank: PromptBank, patch: int) -> PromptWeights:
-    """Per-patch softmax weights over the bank's prompts.
+def prompt_weights(F_e: Tensor, bank: PromptBank, patch: int) -> Tensor:
+    """Softmax weights over the bank's prompts, one vector per patch cell.
 
-    Each patch of F_e is mean-pooled to a channel vector, shrunk to
-    n_prompts logits by a 1x1 conv, and softmaxed.
+    F_e (b, c, h, w) is mean-pooled over patch x patch cells, shrunk to
+    n_prompts logits by a 1x1 conv, and softmaxed over channels:
+    (b, n_prompts, h/patch, w/patch).
     """
-    if F_e.data.ndim != 4:
-        raise ShapeError(f"prompt_weights needs a 4-d input, got {F_e.data.shape}")
-    b, c, h, w = F_e.data.shape
-    if c != bank.dim:
-        raise ShapeError(f"prompt_weights: {c} channels vs bank dim {bank.dim}")
-    if h % patch or w % patch:
-        raise ShapeError(f"prompt_weights: patch {patch} does not divide spatial dims of {F_e.data.shape}")
-    patches = ad.unfold(F_e, patch)
-    pooled = ad.avg_pool2d(patches, patch)  # (q, c, 1, 1)
-    logits = bank.shrink(pooled)  # (q, n_prompts, 1, 1)
-    return PromptWeights(ad.softmax_channels(logits), h // patch, w // patch, patch)
+    return ad.softmax_channels(bank.shrink(ad.avg_pool2d(F_e, patch)))
 
 
-def compose_prompt(w: PromptWeights, bank: PromptBank) -> Tensor:
-    """Weighted prompt sum per patch, tiled to the site grid, then a 3x3 conv."""
-    if w.n_prompts != bank.n_prompts:
-        raise ShapeError(f"compose_prompt: {w.n_prompts} weights vs {bank.n_prompts} prompts")
-    mixed = ad.mix_rows(w.weights, bank.prompts)  # (q, dim, 1, 1)
-    tiled = ad.upsample_nearest(mixed, w.patch)
-    grid = ad.fold(tiled, w.grid_h, w.grid_w)  # (b, dim, h, w)
-    return bank.compose(grid)
+def compose_prompt(weights: Tensor, bank: PromptBank, patch: int) -> Tensor:
+    """Weighted prompt sum per cell, upsampled by patch to the site grid, then a 3x3 conv."""
+    return bank.compose(ad.upsample_nearest(ad.mix_rows(weights, bank.prompts), patch))
 
 
 def inject_prompt(F: Tensor, P: Tensor, bank: PromptBank) -> Tensor:
@@ -96,7 +67,7 @@ class PromptPyramid:
     """One PromptBank per decoder stage, with the plumbing the decoder
     calls during stage-2 forward passes.
 
-    Tracks the worst per-patch weight-sum deviation seen.
+    Tracks the worst per-cell weight-sum deviation seen.
     """
 
     def __init__(self, rng: np.random.Generator, channel_sizes: list[int], n_prompts: int):
@@ -105,10 +76,11 @@ class PromptPyramid:
 
     def apply(self, level: int, F: Tensor, F_e: Tensor) -> Tensor:
         bank = self.banks[level]
-        w = prompt_weights(F_e, bank, prompt_patch(F_e.data.shape[2]))
-        dev = float(np.abs(w.weights.data.sum(axis=1) - 1.0).max())
+        patch = prompt_patch(F_e.data.shape[2])
+        w = prompt_weights(F_e, bank, patch)
+        dev = float(np.abs(w.data.sum(axis=1) - 1.0).max())
         self.max_weight_sum_dev = max(self.max_weight_sum_dev, dev)
-        P = compose_prompt(w, bank)
+        P = compose_prompt(w, bank, patch)
         return inject_prompt(F, P, bank)
 
     def named_params(self, prefix: str = "prompt"):

@@ -573,7 +573,6 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
         set_trainable(disc_group, False)
         with_targets = model.encoder_ref.forward(I_nl)  # untracked: params frozen, inputs constant
         Zq_h = quantize_nearest(with_targets[0], model.codebook).quantized
-        Zq_h = Tensor(Zq_h.data)
         tape = Tape()
         with tape:
             Z_ll, skips_ll = model.encoder.forward(I_ll)

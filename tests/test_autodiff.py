@@ -398,40 +398,6 @@ class TestAvgPool:
         assert ad.check_gradients(lambda t: ad.mean_all(ad.avg_pool2d(t, 2)), x) < 1e-4
 
 
-class TestUnfoldFold:
-    def test_whole_image_patch(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)))
-        out = ad.unfold(x, 4)
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_patch_multiset(self):
-        x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
-        out = ad.unfold(x, 2)
-        assert out.data.shape == (4, 1, 2, 2)
-        assert sorted(out.data.reshape(-1).tolist()) == list(range(16))
-
-    def test_round_trip_bit_exact(self):
-        rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(2, 3, 8, 12)))
-        patches = ad.unfold(x, 4)
-        back = ad.fold(patches, 2, 3)
-        np.testing.assert_array_equal(back.data, x.data)
-
-    def test_non_divisible_raises(self):
-        with pytest.raises(ShapeError):
-            ad.unfold(Tensor(np.zeros((1, 1, 5, 4))), 2)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(1, 2, 4, 4)))
-        coeff = Tensor(rng.normal(size=(4, 2, 2, 2)))
-        assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(ad.unfold(t, 2), coeff)), x) < 1e-4
-        p = Tensor(rng.normal(size=(4, 2, 2, 2)))
-        coeff2 = Tensor(rng.normal(size=(1, 2, 4, 4)))
-        assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(ad.fold(t, 2, 2), coeff2)), p) < 1e-4
-
-
 def channels(v):
     """A 1-d logit vector laid out along the channel axis of a (1, c, 1, 1) tensor."""
     return Tensor(np.asarray(v, dtype=np.float64).reshape(1, -1, 1, 1))
@@ -688,6 +654,15 @@ class TestElementwiseOps:
         w = Tensor(rng.normal(size=(4, 3, 1, 1)))
         rows = Tensor(rng.normal(size=(3, 5)))
         cm = Tensor(rng.normal(size=(4, 5, 1, 1)))
+        assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(ad.mix_rows(t, rows), cm)), w) < 1e-4
+        assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(ad.mix_rows(w, t), cm)), rows) < 1e-4
+
+    def test_mix_rows_grid_gradients(self):
+        # weights on a 2x3 grid over a batch of 2: each cell and image gets its own row mix
+        rng = np.random.default_rng(23)
+        w = Tensor(rng.uniform(0.1, 1.0, size=(2, 3, 2, 3)))
+        rows = Tensor(rng.normal(size=(3, 4)))
+        cm = Tensor(rng.normal(size=(2, 4, 2, 3)))
         assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(ad.mix_rows(t, rows), cm)), w) < 1e-4
         assert ad.check_gradients(lambda t: ad.sum_all(ad.mul(ad.mix_rows(w, t), cm)), rows) < 1e-4
 

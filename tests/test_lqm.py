@@ -94,7 +94,7 @@ class TestExtractLightFactor:
         for n in range(4):
             flat = F[n].reshape(3, 4)
             g = (flat @ flat.T).reshape(-1)
-            h = first.weight.data.reshape(first.weight.shape[0], -1) @ g + first.bias.data
+            h = first.weight.data.reshape(first.weight.data.shape[0], -1) @ g + first.bias.data
             h = np.where(h > 0, h, 0.2 * h)
             want = second.weight.data.reshape(5, -1) @ h + second.bias.data
             np.testing.assert_allclose(got.data[n], want, rtol=0, atol=1e-10)

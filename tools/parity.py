@@ -26,7 +26,12 @@ path is relative to the chain's own run directory, so output from the two
 trees needs no path rewriting.  It prints the exit codes, whether stdout
 and stderr match (with the differing stderr lines), and how many artifact
 files are byte-identical.  Last, it prints the line count of the *.py files
-under src/ in both trees.  It exits 0 when every run finishes.
+under src/ in both trees.
+
+It exits 1 when a stage's loss rows, or the tensors both of its
+checkpoints hold, differ by more than TOLERANCE relative (the parity rule
+for a change that reorders a sum), naming each stage that broke the rule,
+and 0 otherwise.  A run that fails to finish raises.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+TOLERANCE = 1e-9
 
 RUN = """
 import json, sys
@@ -150,6 +156,7 @@ def main(argv: list[str]) -> int:
         rows_rev = run_tree(rev_tree, tmp / "out_rev")
         rows_now = run_tree(ROOT, tmp / "out_now")
         print(f"parity: {rev} vs working tree")
+        broken = []
         for stage in ("stage1", "stage2"):
             diff = max_relative_difference(rows_rev[stage], rows_now[stage])
             same, total, worst, only_rev, only_now = compare_checkpoints(tmp / "out_rev" / f"{stage}.ckpt",
@@ -159,6 +166,8 @@ def main(argv: list[str]) -> int:
                   f"max elementwise relative difference over shared tensors {worst:.3g}"
                   + (f"; only at {rev}: {', '.join(only_rev)}" if only_rev else "")
                   + (f"; only here: {', '.join(only_now)}" if only_now else ""))
+            if max(diff, worst) > TOLERANCE:
+                broken.append(stage)
         enh_rev, enh_now = (np.load(tmp / out / "enhanced256.npy") for out in ("out_rev", "out_now"))
         print(f"enhance 256x256: outputs {'bit-identical' if enh_rev.tobytes() == enh_now.tobytes() else 'DIFFER'}, "
               f"max relative difference {max_relative_difference(enh_rev, enh_now):.3g}")
@@ -184,7 +193,9 @@ def main(argv: list[str]) -> int:
         print(f"cli: {len(names) - len(differing)} of {len(names)} artifact files byte-identical"
               + (f"; differing: {', '.join(differing)}" if differing else ""))
         print(f"src: {source_lines(rev_tree)} lines of *.py at {rev}, {source_lines(ROOT)} here")
-    return 0
+    for stage in broken:
+        print(f"parity: FAILED: {stage} differs by more than {TOLERANCE:g} relative")
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
