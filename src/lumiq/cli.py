@@ -24,8 +24,9 @@ from .data import DegradeParams, ImagePair, generate_pairs, read_image, write_im
 from .lapm import PromptBank, compose_prompt, inject_prompt, prompt_weights
 from .losses import (
     PerceptualExtractor,
-    adversarial_loss,
+    discriminator_loss,
     feature_matching_loss,
+    generator_loss,
     l1_loss,
     reconstruction_loss,
     total_loss,
@@ -374,12 +375,9 @@ def gradcheck_cases(seed: int):
 
     logits = Tensor(rng.normal(size=(2, 1, 3, 3)))
     logits2 = Tensor(rng.normal(size=(2, 1, 3, 3)))
-    cases.append(("adversarial/disc_real",
-                  lambda t: adversarial_loss(t, logits2, 0.1, "discriminator"), logits))
-    cases.append(("adversarial/disc_fake",
-                  lambda t: adversarial_loss(logits, t, 0.1, "discriminator"), logits2))
-    cases.append(("adversarial/generator",
-                  lambda t: adversarial_loss(None, t, 0.1, "generator"), logits))
+    cases.append(("adversarial/disc_real", lambda t: discriminator_loss(t, logits2, 0.1), logits))
+    cases.append(("adversarial/disc_fake", lambda t: discriminator_loss(logits, t, 0.1), logits2))
+    cases.append(("adversarial/generator", lambda t: generator_loss(t, 0.1), logits))
 
     z_ll = Tensor(rng.normal(size=(1, 4, 3, 3)))
     z_h = Tensor(rng.normal(size=(1, 4, 3, 3)))
@@ -394,19 +392,19 @@ def gradcheck_cases(seed: int):
     cases.append(("light_consistency",
                   lambda t: light_consistency_loss(t, Tensor(fb[None]), 9), Tensor(fa[None])))
 
-    # build companions that keep both hinge branches active at the probe:
-    # a same-label factor at cosine distance ~0.4 (> margin) and a
-    # different-label factor nearly parallel (distance ~1e-4 < margin)
+    # the probe's normal rows fa and far_same sit at cosine distance ~0.4
+    # (> margin), and fa's low row near_diff is nearly parallel to it
+    # (distance ~1e-4 < margin), so both hinge branches are active
     unit_a = fa / np.linalg.norm(fa)
     raw = rng.normal(size=6)
     perp = raw - raw.dot(unit_a) * unit_a
     perp /= np.linalg.norm(perp)
     scale = np.linalg.norm(fa)
-    far_same = Tensor(scale * (0.6 * unit_a + 0.8 * perp))
-    near_diff = Tensor(1.3 * fa + 0.01 * scale * perp)
-    cases.append(("lqm_contrastive",
-                  lambda t: lqm_contrastive_loss([(t, 0), (far_same, 0), (near_diff, 1)], 0.1),
-                  Tensor(fa)))
+    far_same = scale * (0.6 * unit_a + 0.8 * perp)
+    near_diff = 1.3 * fa + 0.01 * scale * perp
+    f_low = Tensor(np.stack([near_diff, -far_same]))
+    cases.append(("lqm_contrastive", lambda t: lqm_contrastive_loss(f_low, t, 0.1),
+                  Tensor(np.stack([fa, far_same]))))
 
     lqm = LqmState(rng, [4], d_l=5)
     cases.append(("light_factors",

@@ -27,24 +27,17 @@ def l1_loss(a: Tensor, b: Tensor) -> Tensor:
     return ad.mean_all(ad.absolute(ad.sub(a, b)))
 
 
-def adversarial_loss(real_logits: Tensor | None, fake_logits: Tensor, gamma: float,
-                     side: str) -> Tensor:
-    """Adversarial objective on patch logits.
+def discriminator_loss(real_logits: Tensor, fake_logits: Tensor, gamma: float) -> Tensor:
+    """The negated discriminator objective on patch logits, to minimize:
+    -(gamma * mean log sigma(real) + mean log(1 - sigma(fake)))."""
+    real_term = ad.mul(ad.mean_all(ad.log_sigmoid(real_logits)), Tensor(gamma))
+    fake_term = ad.mean_all(ad.log_sigmoid(ad.mul(fake_logits, Tensor(-1.0))))
+    return ad.mul(ad.add(real_term, fake_term), Tensor(-1.0))
 
-    side "discriminator" returns the value the discriminator maximizes:
-    gamma * mean log sigma(real) + mean log(1 - sigma(fake)); step on
-    its negative.  side "generator" returns the non-saturating loss
-    -mean log sigma(fake), already a quantity to minimize.
-    """
-    if side == "discriminator":
-        if real_logits is None:
-            raise ValueError("discriminator side needs real logits")
-        real_term = ad.mul(ad.mean_all(ad.log_sigmoid(real_logits)), Tensor(gamma))
-        fake_term = ad.mean_all(ad.log_sigmoid(ad.mul(fake_logits, Tensor(-1.0))))
-        return ad.add(real_term, fake_term)
-    if side == "generator":
-        return ad.mul(ad.mean_all(ad.log_sigmoid(fake_logits)), Tensor(-1.0))
-    raise ValueError(f"side must be 'discriminator' or 'generator', got {side!r}")
+
+def generator_loss(fake_logits: Tensor, gamma: float) -> Tensor:
+    """The weighted non-saturating generator loss: gamma * -mean log sigma(fake)."""
+    return ad.mul(ad.mul(ad.mean_all(ad.log_sigmoid(fake_logits)), Tensor(-1.0)), Tensor(gamma))
 
 
 def feature_matching_loss(Z_ll: Tensor, Zq_h: Tensor, sigma: float) -> Tensor:

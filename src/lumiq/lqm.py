@@ -4,7 +4,8 @@ and exploit them.
 
 Factors are extracted per encoder tap level as one (b, d_l) matrix, a
 row per batch item.  Same-lighting factor pairs are pulled inside a
-cosine-distance margin, different-lighting pairs pushed outside it.
+cosine-distance margin, different-lighting pairs pushed outside it, all
+pairs of a level scored from one masked distance matrix.
 """
 
 from __future__ import annotations
@@ -56,45 +57,32 @@ def light_factors(skips: list[Tensor], lqm: LqmState) -> list[Tensor]:
     return out
 
 
-def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
-    """1 - cosine similarity of two same-shaped factors."""
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateFactorError("cosine distance undefined for a zero-norm factor")
-    dot = ad.sum_all(ad.mul(a, b))
-    denom = ad.mul(ad.sqrt(ad.sum_all(ad.square(a))), ad.sqrt(ad.sum_all(ad.square(b))))
-    return ad.sub(Tensor(1.0), ad.div(dot, denom))
+def lqm_contrastive_loss(f_low: Tensor, f_normal: Tensor, margin: float) -> Tensor:
+    """Squared-hinge pair loss over one tap level's two (b, d_l) factor matrices.
 
-
-def lqm_contrastive_loss(factors: list[tuple[Tensor, int]], margin: float) -> Tensor:
-    """Hinged pair loss over all unordered factor pairs.
-
-    Same-label pairs contribute relu(dist - margin)^2, different-label
-    pairs relu(margin - dist)^2.  Returns a scalar tensor.  A pair whose
-    hinge is exactly 0 adds nothing and is left off the sum, so backward
-    never replays its zero-gradient subgraph; a NaN hinge still reaches
-    the sum.
+    Row i of each is scene i.  Each (low i, normal i) pair differs in
+    lighting and adds relu(margin - dist)^2; each unordered pair of normal
+    rows shares it and adds relu(dist - margin)^2, with dist the cosine
+    distance.  Every distance comes from one Gram of the 2b stacked rows.
+    Returns a scalar tensor.
     """
-    if len(factors) < 2:
-        raise ValueError(f"need at least 2 factors, got {len(factors)}")
-    shape = factors[0][0].data.shape
-    for f, _ in factors:
-        if f.data.shape != shape:
-            raise ShapeError(f"factor shapes differ: {f.data.shape} vs {shape}")
-    total = Tensor(0.0)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            f_i, lab_i = factors[i]
-            f_j, lab_j = factors[j]
-            dist = cosine_distance(f_i, f_j)
-            if lab_i == lab_j:
-                hinge = ad.relu(ad.sub(dist, Tensor(margin)))
-            else:
-                hinge = ad.relu(ad.sub(Tensor(margin), dist))
-            if hinge.data != 0.0:
-                total = ad.add(total, ad.square(hinge))
-    return total
+    if f_low.data.ndim != 2 or f_low.data.shape != f_normal.data.shape:
+        raise ShapeError(f"contrastive loss needs matching (b, d_l) factors, got "
+                         f"{f_low.data.shape} and {f_normal.data.shape}")
+    b, d = f_low.data.shape
+    for f in (f_low, f_normal):
+        if not np.linalg.norm(f.data, axis=1).all():
+            raise DegenerateFactorError("cosine distance undefined for a zero-norm factor")
+    rows = ad.concat_channels(ad.reshape(f_low, (1, b, d, 1)), ad.reshape(f_normal, (1, b, d, 1)))
+    norms = ad.sqrt(ad.reshape(ad.gram(ad.reshape(rows, (2 * b, 1, d, 1))), (2 * b, 1)))
+    cos = ad.div(ad.div(ad.reshape(ad.gram(rows), (2 * b, 2 * b)), norms), ad.reshape(norms, (1, 2 * b)))
+    dist = ad.sub(Tensor(1.0), cos)
+    same = np.triu(np.ones((2 * b, 2 * b)), 1)
+    same[:b] = 0.0  # of the pairs above the diagonal, only normal x normal share lighting
+    differ = np.eye(2 * b, k=b)  # (low i, normal i)
+    pull = ad.square(ad.mul(ad.relu(ad.sub(dist, Tensor(margin))), Tensor(same)))
+    push = ad.square(ad.mul(ad.relu(ad.sub(Tensor(margin), dist)), Tensor(differ)))
+    return ad.sum_all(ad.add(pull, push))
 
 
 def light_consistency_loss(f_a: Tensor, f_b: Tensor, n_l: int) -> Tensor:

@@ -26,8 +26,9 @@ from .lapm import PromptPyramid, prompt_patch
 from .losses import (
     DivergenceError,
     PerceptualExtractor,
-    adversarial_loss,
+    discriminator_loss,
     feature_matching_loss,
+    generator_loss,
     l1_loss,
     reconstruction_loss,
     total_loss,
@@ -47,16 +48,17 @@ class CompatibilityError(RuntimeError):
 # optimizer
 
 
-class OptimizerState:
-    """Adam accumulators for one parameter group."""
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+
+class OptimizerState:
+    """Adam accumulators for one named parameter group."""
+
+    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float):
+        self.named_params = list(named_params)
+        self.params = [p for _, p in self.named_params]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -66,7 +68,7 @@ def adam_step(state: OptimizerState, grads: list[np.ndarray]) -> None:
     """Bias-corrected Adam update of the state's params, in place."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETAS
     for i, (p, g) in enumerate(zip(state.params, grads)):
         if g.shape != p.data.shape:
             raise ShapeError(f"adam_step: grad shape {g.shape} vs param shape {p.data.shape}")
@@ -74,36 +76,34 @@ def adam_step(state: OptimizerState, grads: list[np.ndarray]) -> None:
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
         m_hat = state.m[i] / (1.0 - b1 ** t)
         v_hat = state.v[i] / (1.0 - b2 ** t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _step_group(named_params, state: OptimizerState, group: str) -> None:
+def _step_group(opt: OptimizerState, where: str) -> None:
     """Collect grads for a trainable group, apply Adam, clear grads.
 
     A non-finite gradient raises DivergenceError naming the group before
     Adam runs, so the parameters and the optimizer state stay as they were.
     """
-    grads = [p.grad_array() for p in state.params]
-    for (name, _), g in zip(named_params, grads):
+    grads = [p.grad_array() for p in opt.params]
+    for (name, _), g in zip(opt.named_params, grads):
         if not np.isfinite(g).all():
-            raise DivergenceError(f"{group} group: gradient of {name} is not finite")
-    adam_step(state, grads)
-    ad.zero_grads(state.params)
+            raise DivergenceError(f"{where} group: gradient of {name} is not finite")
+    adam_step(opt, grads)
+    ad.zero_grads(opt.params)
 
 
-def _disc_step(disc: Discriminator, real: Tensor, fake: Tensor, gamma: float, group,
+def _disc_step(disc: Discriminator, real: Tensor, fake: Tensor, gamma: float,
                opt: OptimizerState, where: str) -> None:
     """One discriminator update on real images and detached fakes."""
-    set_trainable(group, True)
+    set_trainable(opt.named_params, True)
     tape = Tape()
     with tape:
-        objective = adversarial_loss(disc.forward(real), disc.forward(ad.stop_gradient(fake)),
-                                     gamma, "discriminator")
-        loss = ad.mul(objective, Tensor(-1.0))
+        loss = discriminator_loss(disc.forward(real), disc.forward(ad.stop_gradient(fake)), gamma)
     if not np.isfinite(loss.data):
         raise DivergenceError(f"{where}: discriminator loss is not finite")
     ad.backward(loss, tape)
-    _step_group(group, opt, f"{where}: discriminator")
+    _step_group(opt, f"{where}: discriminator")
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +444,14 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
     require_crop([image.data.shape for image in images], cfg.crop, "image")
     rng = np.random.default_rng(cfg.seed)
     model = Stage1Model.build(cfg, np.random.default_rng(rng.integers(0, 2**31)))
-    gen_group = (model.encoder.named_params() + model.decoder.named_params()
-                 + [("codebook.codes", model.codebook.codes)])
-    disc_group = model.disc.named_params()
-    gen_opt = OptimizerState([p for _, p in gen_group], lr=cfg.lr)
-    disc_opt = OptimizerState([p for _, p in disc_group], lr=cfg.lr)
+    gen_opt = OptimizerState(model.encoder.named_params() + model.decoder.named_params()
+                             + [("codebook.codes", model.codebook.codes)], lr=cfg.lr)
+    disc_opt = OptimizerState(model.disc.named_params(), lr=cfg.lr)
     rows = []
     for step in range(cfg.stage1_iters):
         I_h = _batch_images(rng, images, cfg.batch_size, cfg.crop)
 
-        set_trainable(disc_group, False)
+        set_trainable(disc_opt.named_params, False)
         tape = Tape()
         with tape:
             Z, skips = model.encoder.forward(I_h)
@@ -462,14 +460,14 @@ def pretrain_vqgan(images: list[Tensor], cfg: TrainConfig, log_hook=None):
             l_mae = l1_loss(I_h, I_rec)
             l_cma = codebook_matching_loss(Z, res.lookup, cfg.sigma)
             fake_logits = model.disc.forward(I_rec)
-            l_adv = ad.mul(adversarial_loss(None, fake_logits, cfg.gamma, "generator"), Tensor(cfg.gamma))
+            l_adv = generator_loss(fake_logits, cfg.gamma)
             try:
                 l_total = vq_total_loss(l_mae, l_cma, l_adv)
             except DivergenceError as err:
                 raise DivergenceError(f"stage 1 step {step}: {err}") from err
         ad.backward(l_total, tape)
-        _step_group(gen_group, gen_opt, f"stage 1 step {step}: generator")
-        _disc_step(model.disc, I_h, I_rec, cfg.gamma, disc_group, disc_opt, f"stage 1 step {step}")
+        _step_group(gen_opt, f"stage 1 step {step}: generator")
+        _disc_step(model.disc, I_h, I_rec, cfg.gamma, disc_opt, f"stage 1 step {step}")
 
         rows.append((step, l_mae.item(), l_cma.item(), l_adv.item(), l_total.item()))
         if log_hook is not None:
@@ -486,34 +484,6 @@ def reconstruct(image: Tensor, model: Stage1Model):
 
 # ---------------------------------------------------------------------------
 # stage 2
-
-
-def _lqm_pair_loss(skips_ll: list[Tensor], skips_nl: list[Tensor], lqm: LqmState,
-                   margin: float) -> Tensor:
-    """Contrastive pairs per the batch policy: same-scene (low, normal)
-    pairs differ in lighting; normal crops pair as same-lighting.
-
-    Factors come from detached per-scene copies of the skips, so only the
-    factor maps learn.  Scenes and pairs are scored one by one on
-    purpose: batching them changes the rounding of the LQM gradients, and
-    stage-2 training amplifies that into a visibly different run.
-    """
-    b = skips_ll[0].data.shape[0]
-
-    def per_scene(skips):
-        return [light_factors([Tensor(s.data[n : n + 1]) for s in skips], lqm) for n in range(b)]
-
-    f_low, f_normal = per_scene(skips_ll), per_scene(skips_nl)
-    loss = Tensor(0.0)
-    for level in range(len(skips_ll)):
-        for i in range(b):
-            loss = ad.add(loss, lqm_contrastive_loss(
-                [(f_low[i][level], 0), (f_normal[i][level], 1)], margin))
-        for i in range(b):
-            for j in range(i + 1, b):
-                loss = ad.add(loss, lqm_contrastive_loss(
-                    [(f_normal[i][level], 1), (f_normal[j][level], 1)], margin))
-    return loss
 
 
 def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig,
@@ -536,28 +506,30 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     model = _stage2_model(copy.deepcopy(stage1), cfg, np.random.default_rng(rng.integers(0, 2**31)))
     lqm, prompts = model.lqm, model.prompts
 
-    enhancer_group = (model.encoder.named_params("encoder2")
-                      + (model.decoder.fusion_named_params() if cfg.use_fusion else [])
-                      + (prompts.named_params() if prompts is not None else []))
-    disc_group = model.disc.named_params()
-    enh_opt = OptimizerState([p for _, p in enhancer_group], lr=cfg.lr)
-    disc_opt = OptimizerState([p for _, p in disc_group], lr=cfg.lr)
-    lqm_group = lqm.named_params() if lqm else []
-    lqm_opt = OptimizerState([p for _, p in lqm_group], lr=cfg.lr) if lqm else None
+    enh_opt = OptimizerState(model.encoder.named_params("encoder2")
+                             + (model.decoder.fusion_named_params() if cfg.use_fusion else [])
+                             + (prompts.named_params() if prompts is not None else []), lr=cfg.lr)
+    disc_opt = OptimizerState(model.disc.named_params(), lr=cfg.lr)
+    lqm_opt = OptimizerState(lqm.named_params(), lr=cfg.lr) if lqm else None
 
     px = PerceptualExtractor(seed=cfg.seed + 7)
     rows = []
 
     def lqm_update(step: int, skips_ll: list[Tensor], skips_nl: list[Tensor]) -> None:
-        set_trainable(lqm_group, True)
+        """One step of the factor maps alone, on detached copies of the skips:
+        same-scene (low, normal) rows differ in lighting, normal rows share it."""
+        set_trainable(lqm_opt.named_params, True)
         tape = Tape()
         with tape:
-            loss = _lqm_pair_loss(skips_ll, skips_nl, lqm, cfg.margin)
+            loss = Tensor(0.0)
+            for f_low, f_normal in zip(light_factors([Tensor(s.data) for s in skips_ll], lqm),
+                                       light_factors([Tensor(s.data) for s in skips_nl], lqm)):
+                loss = ad.add(loss, lqm_contrastive_loss(f_low, f_normal, cfg.margin))
         if not np.isfinite(loss.data):
             raise DivergenceError(f"stage 2 step {step}: LQM loss is not finite")
         ad.backward(loss, tape)
-        _step_group(lqm_group, lqm_opt, f"stage 2 step {step}: LQM")
-        set_trainable(lqm_group, False)
+        _step_group(lqm_opt, f"stage 2 step {step}: LQM")
+        set_trainable(lqm_opt.named_params, False)
         step_hook("lqm", step, model)
 
     total_warmup = cfg.lqm_warmup if lqm else 0
@@ -570,7 +542,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
         I_ll, I_nl = _batch_pairs(rng, pairs, cfg.batch_size, cfg.crop)
 
         # enhancer update: encoder copy, prompts, fusion
-        set_trainable(disc_group, False)
+        set_trainable(disc_opt.named_params, False)
         with_targets = model.encoder_ref.forward(I_nl)  # untracked: params frozen, inputs constant
         Zq_h = quantize_nearest(with_targets[0], model.codebook).quantized
         tape = Tape()
@@ -581,8 +553,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
                 lqm_update(step, skips_ll, skips_nl)
             res = quantize_nearest(Z_ll, model.codebook)
             I_rec = model.decoder.forward(res.quantized, skips_ll, prompts=prompts)
-            l_adv = ad.mul(adversarial_loss(None, model.disc.forward(I_rec), cfg.gamma, "generator"),
-                           Tensor(cfg.gamma))
+            l_adv = generator_loss(model.disc.forward(I_rec), cfg.gamma)
             l_fml = feature_matching_loss(Z_ll, Zq_h, cfg.sigma)
             l_rec = reconstruction_loss(I_rec, I_nl, px)
             l_lcl = Tensor(0.0)
@@ -594,10 +565,10 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
             except DivergenceError as err:
                 raise DivergenceError(f"stage 2 step {step}: {err}") from err
         ad.backward(l_total, tape)
-        _step_group(enhancer_group, enh_opt, f"stage 2 step {step}: enhancer")
+        _step_group(enh_opt, f"stage 2 step {step}: enhancer")
         step_hook("enhancer", step, model)
 
-        _disc_step(model.disc, I_nl, I_rec, cfg.gamma, disc_group, disc_opt, f"stage 2 step {step}")
+        _disc_step(model.disc, I_nl, I_rec, cfg.gamma, disc_opt, f"stage 2 step {step}")
         step_hook("disc", step, model)
 
         rows.append((step, l_adv.item(), l_fml.item(), l_rec.item(), l_lcl.item(), l_total.item()))

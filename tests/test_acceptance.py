@@ -205,26 +205,22 @@ def test_loss_algebra():
 
     margin = 0.1
     for _ in range(10):
-        k = int(rng.integers(2, 6))
-        vals = [rng.uniform(0.2, 1.0, size=4) * rng.choice([-1.0, 1.0], size=4) for _ in range(k)]
-        labels = [int(rng.integers(0, 2)) for _ in range(k)]
-        got = lqm_contrastive_loss([(Tensor(v), lab) for v, lab in zip(vals, labels)], margin).item()
-        expected = 0.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                dist = cosine_dist(vals[i], vals[j])
-                if labels[i] == labels[j]:
-                    expected += max(dist - margin, 0.0) ** 2
-                else:
-                    expected += max(margin - dist, 0.0) ** 2
+        b = int(rng.integers(1, 6))
+        f_low, f_normal = (rng.uniform(0.2, 1.0, size=(b, 4)) * rng.choice([-1.0, 1.0], size=(b, 4))
+                           for _ in range(2))
+        got = lqm_contrastive_loss(Tensor(f_low), Tensor(f_normal), margin).item()
+        expected = sum(max(margin - cosine_dist(f_low[i], f_normal[i]), 0.0) ** 2 for i in range(b))
+        for i in range(b):
+            for j in range(i + 1, b):
+                expected += max(cosine_dist(f_normal[i], f_normal[j]) - margin, 0.0) ** 2
         assert abs(got - expected) < ALGEBRA_TOL
-    # hinge exactness: near-parallel same-label pair and orthogonal
-    # different-label pair both contribute exactly zero
+    # hinge exactness: a near-parallel same-lighting pair and an orthogonal
+    # different-lighting pair both contribute exactly zero
     base = np.array([1.0, 2.0, 0.5, -0.3])
-    hinge_zero = lqm_contrastive_loss([(Tensor(base), 0), (Tensor(base * 3.0), 0)], margin).item()
+    hinge_zero = lqm_contrastive_loss(Tensor(np.stack([-base, -base])), Tensor(np.stack([base, base * 3.0])),
+                                      margin).item()
     assert hinge_zero == 0.0
-    ortho = lqm_contrastive_loss([(Tensor(np.array([1.0, 0.0])), 0),
-                                  (Tensor(np.array([0.0, 1.0])), 1)], margin).item()
+    ortho = lqm_contrastive_loss(Tensor(np.array([[1.0, 0.0]])), Tensor(np.array([[0.0, 1.0]])), margin).item()
     assert ortho == 0.0
 
     def gram_np(z):

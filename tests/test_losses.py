@@ -8,8 +8,9 @@ from lumiq.autodiff import ShapeError, Tape, Tensor
 from lumiq.losses import (
     DivergenceError,
     PerceptualExtractor,
-    adversarial_loss,
+    discriminator_loss,
     feature_matching_loss,
+    generator_loss,
     l1_loss,
     reconstruction_loss,
     total_loss,
@@ -53,44 +54,38 @@ class TestAdversarial:
     def test_perfect_discriminator_limit(self):
         real = Tensor(np.full((1, 1, 2, 2), 1000.0))
         fake = Tensor(np.full((1, 1, 2, 2), -1000.0))
-        assert abs(adversarial_loss(real, fake, 0.1, "discriminator").item()) < 1e-12
+        assert abs(discriminator_loss(real, fake, 0.1).item()) < 1e-12
 
     def test_zero_logits_closed_form(self):
         zeros = Tensor(np.zeros((1, 1, 3, 3)))
-        got = adversarial_loss(zeros, Tensor(np.zeros((1, 1, 3, 3))), 0.1, "discriminator").item()
-        assert abs(got - 1.1 * np.log(0.5)) < 1e-12
+        assert abs(discriminator_loss(zeros, zeros, 0.1).item() + 1.1 * np.log(0.5)) < 1e-12
+        assert abs(generator_loss(zeros, 0.1).item() + 0.1 * np.log(0.5)) < 1e-12
 
     def test_matches_high_precision_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             real = rng.normal(size=(1, 1, 4, 4)) * 3.0
             fake = rng.normal(size=(1, 1, 4, 4)) * 3.0
-            gamma = 0.1
-            got_d = adversarial_loss(Tensor(real), Tensor(fake), gamma, "discriminator").item()
-            want_d = float(gamma * logsig_hp(real).mean() + logsig_hp(-fake).mean())
+            gamma = float(rng.uniform(0.05, 1.0))
+            got_d = discriminator_loss(Tensor(real), Tensor(fake), gamma).item()
+            want_d = -float(gamma * logsig_hp(real).mean() + logsig_hp(-fake).mean())
             assert abs(got_d - want_d) < 1e-10
-            got_g = adversarial_loss(None, Tensor(fake), gamma, "generator").item()
-            want_g = float(-logsig_hp(fake).mean())
+            got_g = generator_loss(Tensor(fake), gamma).item()
+            want_g = -float(gamma * logsig_hp(fake).mean())
             assert abs(got_g - want_g) < 1e-10
 
     def test_generator_decreases_as_fake_improves(self):
-        low = adversarial_loss(None, Tensor(np.full((1, 1, 2, 2), -2.0)), 0.1, "generator").item()
-        high = adversarial_loss(None, Tensor(np.full((1, 1, 2, 2), 2.0)), 0.1, "generator").item()
+        low = generator_loss(Tensor(np.full((1, 1, 2, 2), -2.0)), 0.1).item()
+        high = generator_loss(Tensor(np.full((1, 1, 2, 2), 2.0)), 0.1).item()
         assert high < low
 
     def test_gradients(self):
         rng = np.random.default_rng(4)
         real = Tensor(rng.normal(size=(1, 1, 3, 3)))
         fake = Tensor(rng.normal(size=(1, 1, 3, 3)))
-        assert ad.check_gradients(lambda t: adversarial_loss(t, fake, 0.1, "discriminator"), real) < 1e-4
-        assert ad.check_gradients(lambda t: adversarial_loss(real, t, 0.1, "discriminator"), fake) < 1e-4
-        assert ad.check_gradients(lambda t: adversarial_loss(None, t, 0.1, "generator"), fake) < 1e-4
-
-    def test_bad_side_raises(self):
-        with pytest.raises(ValueError):
-            adversarial_loss(Tensor(np.zeros((1, 1, 1, 1))), Tensor(np.zeros((1, 1, 1, 1))), 0.1, "both")
-        with pytest.raises(ValueError):
-            adversarial_loss(None, Tensor(np.zeros((1, 1, 1, 1))), 0.1, "discriminator")
+        assert ad.check_gradients(lambda t: discriminator_loss(t, fake, 0.1), real) < 1e-4
+        assert ad.check_gradients(lambda t: discriminator_loss(real, t, 0.1), fake) < 1e-4
+        assert ad.check_gradients(lambda t: generator_loss(t, 0.1), fake) < 1e-4
 
 
 class TestFeatureMatching:

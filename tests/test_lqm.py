@@ -8,7 +8,6 @@ from lumiq.autodiff import ShapeError, Tape, Tensor
 from lumiq.lqm import (
     DegenerateFactorError,
     LqmState,
-    cosine_distance,
     light_consistency_loss,
     light_factors,
     lqm_contrastive_loss,
@@ -118,98 +117,131 @@ class TestExtractLightFactor:
             light_factors([Tensor(np.zeros((1, 4, 2, 2)))] * 2, lqm)
 
 
+def pair_loop_oracle(f_low, f_normal, margin):
+    """The contrastive loss scored one pair at a time in numpy."""
+
+    def dist(a, b):
+        return 1.0 - a.dot(b) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+    b = len(f_low)
+    total = sum(max(margin - dist(f_low[i], f_normal[i]), 0.0) ** 2 for i in range(b))
+    for i in range(b):
+        for j in range(i + 1, b):
+            total += max(dist(f_normal[i], f_normal[j]) - margin, 0.0) ** 2
+    return total
+
+
+def contrastive(f_low, f_normal, margin):
+    return lqm_contrastive_loss(factor(f_low), factor(f_normal), margin).item()
+
+
 class TestContrastiveLoss:
     def test_identical_same_label_inactive(self):
-        f = factor([1.0, 2.0, 3.0])
-        g = factor([1.0, 2.0, 3.0])
-        assert lqm_contrastive_loss([(f, 0), (g, 0)], margin=0.1).item() == 0.0
+        # two identical normal rows, each far from its low row
+        row = [1.0, 2.0, 3.0]
+        assert contrastive([[-3.0, 2.0, -1.0]] * 2, [row, row], margin=0.1) == 0.0
 
     def test_orthogonal_different_label_inactive(self):
-        f = factor([1.0, 0.0])
-        g = factor([0.0, 1.0])  # cosine 0, distance 1 >= margin
-        assert lqm_contrastive_loss([(f, 0), (g, 1)], margin=0.1).item() == 0.0
+        # cosine 0, distance 1 >= margin
+        assert contrastive([[1.0, 0.0]], [[0.0, 1.0]], margin=0.1) == 0.0
 
     def test_same_label_half_cosine(self):
-        # cos = 0.5 so dist = 0.5; hinge (0.5 - 0.1)^2 = 0.16
-        f = factor([1.0, 0.0])
-        g = factor([0.5, np.sqrt(3.0) / 2.0])
-        loss = lqm_contrastive_loss([(f, 1), (g, 1)], margin=0.1).item()
-        assert abs(loss - 0.16) < 1e-12
+        # normal rows at cos = 0.5 so dist = 0.5; hinge (0.5 - 0.1)^2 = 0.16;
+        # each low row is its normal row negated, at distance 2
+        normal = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
+        assert abs(contrastive(-normal, normal, margin=0.1) - 0.16) < 1e-12
 
     def test_matches_direct_oracle_on_mixed_set(self):
         rng = np.random.default_rng(6)
-        vals = [rng.normal(size=6) + 0.5 for _ in range(5)]
-        labels = [0, 1, 0, 1, 1]
-        factors = [(factor(v), lab) for v, lab in zip(vals, labels)]
-        got = lqm_contrastive_loss(factors, margin=0.1).item()
-        want = 0.0
-        for i in range(5):
-            for j in range(i + 1, 5):
-                cos = np.dot(vals[i], vals[j]) / (np.linalg.norm(vals[i]) * np.linalg.norm(vals[j]))
-                dist = 1.0 - cos
-                if labels[i] == labels[j]:
-                    want += max(dist - 0.1, 0.0) ** 2
-                else:
-                    want += max(0.1 - dist, 0.0) ** 2
-        assert abs(got - want) < 1e-12
+        normal = rng.normal(size=(4, 6)) + 0.5
+        low = normal + rng.normal(size=(4, 6)) * np.array([[0.01], [2.0], [0.05], [3.0]])
+        got = contrastive(low, normal, margin=0.1)
+        want = pair_loop_oracle(low, normal, 0.1)
+        assert want > 0.0 and abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("b", range(1, 6))
+    def test_matches_pair_loop_oracle(self, b):
+        rng = np.random.default_rng(100 + b)
+        for _ in range(20):
+            normal = rng.normal(size=(b, 5)) + rng.uniform(-1.0, 1.0, size=5)
+            low = normal + rng.normal(size=(b, 5)) * rng.uniform(0.0, 1.5, size=(b, 1))
+            margin = float(rng.uniform(0.05, 0.6))
+            want = pair_loop_oracle(low, normal, margin)
+            assert abs(contrastive(low, normal, margin) - want) <= 1e-12 * max(1.0, want)
+
+    def test_all_inactive_is_exactly_zero(self):
+        # near-parallel normal rows and low rows orthogonal to their scene's
+        base = np.array([1.0, 2.0, 0.5, -0.3])
+        normal = np.stack([base, 3.0 * base, 0.5 * base])
+        low = np.stack([[2.0, -1.0, 0.0, 0.0]] * 3)
+        assert contrastive(low, normal, margin=0.1) == 0.0
 
     def test_equals_sum_over_every_pair(self):
+        # one-scene calls score the different-lighting pairs alone; a two-scene
+        # call whose low rows are the normal rows negated (distance 2, inactive)
+        # scores one same-lighting pair alone
         rng = np.random.default_rng(10)
-        factors = [(factor(rng.normal(size=6) + 0.5), lab) for lab in (0, 1, 0, 1, 1, 0)]
-        want = Tensor(0.0)
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                dist = cosine_distance(factors[i][0], factors[j][0])
-                if factors[i][1] == factors[j][1]:
-                    hinge = ad.relu(ad.sub(dist, Tensor(0.3)))
-                else:
-                    hinge = ad.relu(ad.sub(Tensor(0.3), dist))
-                want = ad.add(want, ad.square(hinge))
-        got = lqm_contrastive_loss(factors, margin=0.3)
-        assert 0.0 < got.item() == want.item()
+        normal = rng.normal(size=(5, 6)) + 0.5
+        low = normal + rng.normal(size=(5, 6)) * 0.05
+        want = sum(contrastive(low[i : i + 1], normal[i : i + 1], 0.3) for i in range(5))
+        for i in range(5):
+            for j in range(i + 1, 5):
+                want += contrastive(-normal[[i, j]], normal[[i, j]], 0.3)
+        got = contrastive(low, normal, 0.3)
+        assert got > 0.0 and abs(got - want) < 1e-12
 
     def test_factor_with_only_inactive_pairs_gets_no_gradient(self):
-        # f0's pairs are all inactive; (f1, f3) and (f2, f3) are active
-        f0, f1, f2, f3 = (Tensor(np.asarray(v), requires_grad=True)
-                          for v in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.1], [0.0, 0.2, 1.0]))
+        # the normal rows are near-parallel, so every same-lighting pair is
+        # inactive; scene 0's low row is orthogonal to its normal row, while
+        # scenes 1 and 2 have near-parallel, active different-lighting pairs
+        f_low = Tensor(np.array([[0.0, 1.0, 0.0], [1.0, 0.05, 0.0], [1.0, 0.0, 0.05]]), requires_grad=True)
+        f_normal = Tensor(np.array([[1.0, 0.0, 0.0], [1.0, 0.01, 0.0], [1.0, 0.0, 0.01]]), requires_grad=True)
         tape = Tape()
         with tape:
-            loss = lqm_contrastive_loss([(f0, 0), (f1, 1), (f2, 1), (f3, 1)], margin=0.1)
+            loss = lqm_contrastive_loss(f_low, f_normal, margin=0.1)
         ad.backward(loss, tape)
         assert loss.item() > 0.0
-        assert f0.grad is None
-        assert all(np.abs(f.grad).max() > 0.0 for f in (f1, f2, f3))
+        for f in (f_low, f_normal):
+            assert not f.grad[0].any()
+            assert all(np.abs(f.grad[n]).max() > 0.0 for n in (1, 2))
 
     def test_nan_factor_gives_non_finite_loss(self):
-        loss = lqm_contrastive_loss([(factor([np.nan, 1.0]), 0), (factor([1.0, 0.0]), 0)], margin=0.1)
-        assert not np.isfinite(loss.item())
+        assert not np.isfinite(contrastive([[np.nan, 1.0]], [[1.0, 0.0]], margin=0.1))
+        # a NaN in a row whose every pair would be inactive still reaches the sum
+        assert not np.isfinite(contrastive([[0.0, 1.0], [np.nan, 1.0]], [[1.0, 0.0], [1.0, 0.0]], margin=0.1))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(7)
-        factors = [(factor(rng.normal(size=4) + 1.0), i % 2) for i in range(4)]
-        a = lqm_contrastive_loss(factors, margin=0.1).item()
-        b = lqm_contrastive_loss(factors[::-1], margin=0.1).item()
-        assert abs(a - b) < 1e-12
+        normal = rng.normal(size=(4, 4)) + 1.0
+        low = normal + rng.normal(size=(4, 4)) * 0.1
+        a = contrastive(low, normal, margin=0.1)
+        b = contrastive(low[::-1], normal[::-1], margin=0.1)
+        assert a > 0.0 and abs(a - b) < 1e-12
 
     def test_zero_norm_raises(self):
         with pytest.raises(DegenerateFactorError):
-            lqm_contrastive_loss([(factor([0.0, 0.0]), 0), (factor([1.0, 0.0]), 1)], margin=0.1)
+            contrastive([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]], margin=0.1)
+        with pytest.raises(DegenerateFactorError):
+            contrastive([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [0.0, 0.0]], margin=0.1)
 
-    def test_too_few_factors_raises(self):
-        with pytest.raises(ValueError):
-            lqm_contrastive_loss([(factor([1.0]), 0)], margin=0.1)
+    def test_mismatched_factors_raise(self):
+        with pytest.raises(ShapeError):
+            contrastive([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], margin=0.1)
+        with pytest.raises(ShapeError):
+            contrastive([1.0, 0.0], [0.0, 1.0], margin=0.1)
 
     def test_gradient(self):
         rng = np.random.default_rng(8)
-        other = factor(rng.normal(size=4) + 1.0)
-        x = Tensor(rng.normal(size=4) + 1.0)
-        assert ad.check_gradients(lambda t: lqm_contrastive_loss([(t, 0), (other, 1)], margin=0.5), x) < 1e-4
+        normal = factor(rng.normal(size=(3, 4)) + 1.0)
+        low = factor(normal.data + rng.normal(size=(3, 4)) * 0.05)
+        assert ad.check_gradients(lambda t: lqm_contrastive_loss(t, normal, margin=0.5), low) < 1e-4
+        assert ad.check_gradients(lambda t: lqm_contrastive_loss(low, t, margin=0.5), normal) < 1e-4
 
     def test_cosine_distance_range(self):
+        # at margin 3 a one-scene loss is (3 - dist)^2 for any dist in [0, 2]
         rng = np.random.default_rng(9)
         for _ in range(20):
-            a, b = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
-            d = cosine_distance(a, b).item()
+            d = 3.0 - np.sqrt(contrastive(rng.normal(size=(1, 5)), rng.normal(size=(1, 5)), margin=3.0))
             assert -1e-12 <= d <= 2.0 + 1e-12
 
 

@@ -8,6 +8,8 @@ from lumiq.data import ImagePair, generate_pairs, synth_scene
 from lumiq.losses import DivergenceError
 from lumiq.networks import Encoder
 from lumiq.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
     CompatibilityError,
     OptimizerState,
     Stage1Model,
@@ -95,7 +97,7 @@ class TestAdam:
         params = [Tensor(rng.normal(size=(3, 4)), requires_grad=True),
                   Tensor(rng.normal(size=5), requires_grad=True)]
         before = [p.data.copy() for p in params]
-        state = OptimizerState(params, lr=0.1)
+        state = OptimizerState([("w", params[0]), ("b", params[1])], lr=0.1)
         adam_step(state, [np.zeros((3, 4)), np.zeros(5)])
         for b, p in zip(before, params):
             assert np.array_equal(b, p.data)
@@ -105,17 +107,17 @@ class TestAdam:
         rng = np.random.default_rng(1)
         g = rng.normal(size=(2, 3))
         p = Tensor(np.ones((2, 3)), requires_grad=True)
-        lr, eps = 1e-4, 1e-8
-        state = OptimizerState([p], lr=lr, eps=eps)
+        lr = 1e-4
+        state = OptimizerState([("p", p)], lr=lr)
         adam_step(state, [g.copy()])
-        expected = 1.0 - lr * g / (np.abs(g) + eps)
+        expected = 1.0 - lr * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(p.data, expected, rtol=1e-12, atol=0)
 
     def test_quadratic_trajectory_matches_scalar_reference(self):
-        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-        expected = adam_scalar_reference(3.0, lambda x: 2.0 * x, lr, b1, b2, eps, 10)
+        lr = 0.05
+        expected = adam_scalar_reference(3.0, lambda x: 2.0 * x, lr, *ADAM_BETAS, ADAM_EPS, 10)
         p = Tensor(np.asarray(3.0), requires_grad=True)
-        state = OptimizerState([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        state = OptimizerState([("p", p)], lr=lr)
         got = []
         for _ in range(10):
             adam_step(state, [np.asarray(2.0 * p.data)])
@@ -124,7 +126,7 @@ class TestAdam:
 
     def test_convergence_on_quadratic(self):
         p = Tensor(np.asarray(3.0), requires_grad=True)
-        state = OptimizerState([p], lr=0.1)
+        state = OptimizerState([("p", p)], lr=0.1)
         for _ in range(500):
             adam_step(state, [np.asarray(2.0 * p.data)])
         assert abs(float(p.data)) < 1e-2
@@ -138,22 +140,22 @@ class TestAdam:
             p.grad = np.ones_like(p.data)
         group[1][1].grad[2] = bad
         before = [p.data.copy() for _, p in group]
-        state = OptimizerState([p for _, p in group], lr=0.1)
+        state = OptimizerState(group, lr=0.1)
         with pytest.raises(DivergenceError, match="step 3: enhancer group: gradient of enc.b"):
-            _step_group(group, state, "step 3: enhancer")
+            _step_group(state, "step 3: enhancer")
         for b, (_, p) in zip(before, group):
             assert np.array_equal(b, p.data)
         assert state.step_count == 0 and not state.m[0].any()
 
     def test_grad_shape_mismatch_raises(self):
         p = Tensor(np.zeros((2, 2)), requires_grad=True)
-        state = OptimizerState([p], lr=0.1)
+        state = OptimizerState([("p", p)], lr=0.1)
         with pytest.raises(ShapeError):
             adam_step(state, [np.zeros(3)])
 
     def test_momentum_state_accumulates(self):
         p = Tensor(np.asarray(0.0), requires_grad=True)
-        state = OptimizerState([p], lr=0.1)
+        state = OptimizerState([("p", p)], lr=0.1)
         g = np.asarray(1.0)
         adam_step(state, [g])
         first = float(p.data)

@@ -86,6 +86,14 @@ CLI_CHAIN = [
 ]
 
 
+def export(rev: str, dest: Path) -> None:
+    """Write the files of rev into dest with git archive."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def run_tree(tree: Path, out: Path) -> dict:
     """Run the fixed training and the 256x256 enhance in tree's src/, writing into out; returns the loss rows."""
     out.mkdir(parents=True)
@@ -149,10 +157,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         rev_tree = tmp / "rev"
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-                                 stdout=subprocess.PIPE, check=True).stdout
-        with tarfile.open(fileobj=BytesIO(archive)) as tar:
-            tar.extractall(rev_tree, filter="data")
+        export(rev, rev_tree)
         rows_rev = run_tree(rev_tree, tmp / "out_rev")
         rows_now = run_tree(ROOT, tmp / "out_now")
         print(f"parity: {rev} vs working tree")
