@@ -456,7 +456,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     Stride 1 runs k*k shifted GEMMs over one padded channels-last copy of
     x (forward, input gradient and weight gradient); larger strides use
     im2col patch rows.  The output is a channels-last array viewed as
-    (b, c_out, oh, ow).
+    (b, c_out, oh, ow).  Only the weight gradient reads the padded copy: it
+    is kept only if a tape is recording and the weight requires a gradient
+    at forward time, so a weight unfrozen before backward gets none here.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input and kernel, got {x.data.shape} and {weight.data.shape}")
@@ -471,6 +473,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     if stride == 1:
         xp = _pad_channels_last(x.data, pad)
         res = _correlate(xp, weight.data.transpose(2, 3, 1, 0), None if bias is None else bias.data)
+        if not (_TAPE_STACK and weight.requires_grad):
+            xp = None  # freed before the compaction below allocates the output
         res = np.ascontiguousarray(res)  # drops the wrapped rows
     else:
         cols = _im2col(x.data, k, stride, pad)
@@ -494,7 +498,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
                     g, edge = g[:, :, -edge : oh + edge, -edge : ow + edge], 0
                 wflip = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
                 dx = _correlate(_pad_channels_last(g, edge), wflip).transpose(0, 3, 1, 2)
-            if weight.requires_grad:
+            if xp is not None and weight.requires_grad:
                 dw = _correlate_weight_grad(xp, gm, k)
         else:
             if x.requires_grad:

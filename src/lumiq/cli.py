@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, check_gradients
 from .codebook import activation_histogram, export_histogram_csv, quantize_nearest
-from .data import DegradeParams, ImagePair, generate_pairs, read_image, write_image
+from .data import DegradeParams, ImagePair, check_image, generate_pairs, read_image, write_image
 from .lapm import PromptBank, compose_prompt, inject_prompt, prompt_weights
 from .losses import (
     PerceptualExtractor,
@@ -258,12 +258,13 @@ def cmd_enhance(args, cfg: TrainConfig) -> int:
     model = load_any(args.ckpt)
     if not isinstance(model, Stage2Model):
         raise UsageError(f"{args.ckpt} is not a stage-2 checkpoint")
-    # read every input first: a malformed file fails before anything is written
-    images = [(path, read_image(path)) for path in list_ppm_inputs(args.images)]
+    paths = list_ppm_inputs(args.images)
+    for path in paths:  # a malformed file fails before anything is written
+        check_image(path)
     os.makedirs(args.out, exist_ok=True)
     counts = np.zeros(model.codebook.n_codes, dtype=np.int64)
-    for path, image in images:
-        out, res = enhance(image, model)
+    for path in paths:  # one decoded image alive at a time
+        out, res = enhance(read_image(path), model)
         counts += activation_histogram([res], model.codebook.n_codes)
         dest = os.path.join(args.out, f"enhanced_{os.path.basename(path)}")
         write_image(dest, out)

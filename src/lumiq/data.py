@@ -124,8 +124,9 @@ def write_image(path, I: Tensor) -> None:
         fh.write(quant.transpose(1, 2, 0).tobytes())
 
 
-def read_image(path) -> Tensor:
-    """Read a binary 8-bit PPM back into a (1, 3, h, w) tensor in [0, 1]."""
+def _read_ppm(path) -> tuple[bytes, int, int, int]:
+    """(file bytes, h, w, byte offset of the pixel data) of a binary 8-bit
+    PPM whose header is valid and whose pixel data is all there."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:2] != b"P6":
@@ -159,6 +160,17 @@ def read_image(path) -> Tensor:
         raise PpmParseError(
             f"{path}: pixel data truncated at byte offset {len(blob)} (need {need} bytes from {off})"
         )
-    raw = np.frombuffer(blob, dtype=np.uint8, count=need, offset=off)
+    return blob, h, w, off
+
+
+def check_image(path) -> None:
+    """Raise the PpmParseError read_image would raise for path, without decoding it."""
+    _read_ppm(path)
+
+
+def read_image(path) -> Tensor:
+    """Read a binary 8-bit PPM back into a (1, 3, h, w) tensor in [0, 1]."""
+    blob, h, w, off = _read_ppm(path)
+    raw = np.frombuffer(blob, dtype=np.uint8, count=3 * h * w, offset=off)
     img = raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
     return Tensor(img[None])

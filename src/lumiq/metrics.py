@@ -27,6 +27,11 @@ def psnr(a, b, max_val: float = 1.0) -> float:
     return float(10.0 * np.log10(max_val * max_val / mse))
 
 
+def _window_mean(g: np.ndarray) -> np.ndarray:
+    """Mean of every SSIM_WINDOW x SSIM_WINDOW window of (n, h, w) images."""
+    return sliding_window_view(g, (SSIM_WINDOW, SSIM_WINDOW), axis=(1, 2)).mean(axis=(3, 4))
+
+
 def ssim(a, b) -> float:
     """Mean local SSIM over uniform 8x8 windows of the channel-mean gray image."""
     a, b = _as_array(a), _as_array(b)
@@ -38,15 +43,15 @@ def ssim(a, b) -> float:
         raise ValueError(f"ssim needs at least {SSIM_WINDOW}x{SSIM_WINDOW} images, got {a.shape}")
     ga = a.mean(axis=1)
     gb = b.mean(axis=1)
-    wa = sliding_window_view(ga, (SSIM_WINDOW, SSIM_WINDOW), axis=(1, 2))
-    wb = sliding_window_view(gb, (SSIM_WINDOW, SSIM_WINDOW), axis=(1, 2))
-    mu_a = wa.mean(axis=(3, 4))
-    mu_b = wb.mean(axis=(3, 4))
-    var_a = (wa * wa).mean(axis=(3, 4)) - mu_a * mu_a
-    var_b = (wb * wb).mean(axis=(3, 4)) - mu_b * mu_b
-    cov = (wa * wb).mean(axis=(3, 4)) - mu_a * mu_b
+    mu_a, mu_b = _window_mean(ga), _window_mean(gb)
+    # window means of the pixel products, with no (n, h-7, w-7, 8, 8) window
+    # product; var_a + var_b is summed as it is built and the gray images go
+    # before the last maps, so fewer maps are alive at once (same bits)
+    var_sum = _window_mean(ga * ga) - mu_a * mu_a + (_window_mean(gb * gb) - mu_b * mu_b) + SSIM_C2
+    cov = _window_mean(ga * gb) - mu_a * mu_b
+    del ga, gb
     num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * var_sum
     return float((num / den).mean())
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,64 @@ class TestConv2d:
         border[:, pad : pad + h, pad : pad + w] = False
         assert (xp[border] == 0.0).all() and not np.signbit(xp[border]).any()
         assert xp.flags.c_contiguous
+
+    @pytest.mark.parametrize("xshape,wshape,pad", [(x, w, pad) for x, w, stride, pad in DEFAULT_CONVS if stride == 1]
+                             + MULTI_BLOCK_CASES)
+    def test_untaped_and_frozen_weight_convs_keep_bits(self, xshape, wshape, pad):
+        # a trainable weight under a tape keeps the padded copy; a frozen one
+        # and a conv with no tape drop it, with the same output bits and
+        # strides and the same input gradient
+        rng = np.random.default_rng(sum(xshape) + sum(wshape) + 3 * pad)
+        x, w, b = rng.normal(size=xshape), rng.normal(size=wshape), rng.normal(size=wshape[0])
+        runs = []
+        for weight_grad in (True, False):
+            xt = Tensor(x, requires_grad=True)
+            tape = Tape()
+            with tape:
+                out = ad.conv2d(xt, Tensor(w, requires_grad=weight_grad), Tensor(b), pad=pad)
+                loss = ad.sum_all(ad.square(out))
+            ad.backward(loss, tape)
+            runs.append((out.data, xt.grad))
+        untaped = ad.conv2d(Tensor(x), Tensor(w, requires_grad=True), Tensor(b), pad=pad).data
+        for got in (runs[1][0], untaped):
+            np.testing.assert_array_equal(got, runs[0][0])
+            assert got.strides == runs[0][0].strides
+        np.testing.assert_array_equal(runs[1][1], runs[0][1])
+
+    @pytest.mark.parametrize("frozen_at_forward", [False, True])
+    def test_freeze_toggled_between_forward_and_backward(self, frozen_at_forward):
+        # the forward pass decides whether the weight gradient runs: a weight
+        # frozen afterwards gets none, and one unfrozen afterwards gets none
+        # from this call either, since its padded copy is gone
+        rng = np.random.default_rng(45)
+        x, w = rng.normal(size=(2, 3, 9, 7)), rng.normal(size=(4, 3, 3, 3))
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=not frozen_at_forward)
+        g = rng.normal(size=(2, 4, 9, 7))
+        tape = Tape()
+        with tape:
+            loss = ad.sum_all(ad.mul(ad.conv2d(xt, wt, pad=1), Tensor(g)))
+        wt.requires_grad = frozen_at_forward
+        ad.backward(loss, tape)
+        dx, _ = conv_backward_oracle(x, w, g, 1, 1)
+        np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12 * np.abs(dx).max())
+        assert wt.grad is None
+
+    def test_untaped_conv_frees_padded_copy_before_compaction(self):
+        # alive at the compaction: input, accumulator and output; the padded
+        # input (a further 2.2 MB here) must be gone by then
+        shape = (1, 16, 128, 128)
+        wt = Tensor(np.random.default_rng(46).normal(size=(16, 16, 3, 3)), requires_grad=True)
+        bias = Tensor(np.zeros(16), requires_grad=True)
+        tracemalloc.start()
+        try:
+            x = Tensor(np.ones(shape))
+            out = ad.conv2d(x, wt, bias, pad=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        accumulator = 8 * 130 * 130 * 16
+        assert out.data.nbytes == x.data.nbytes == 8 * 16 * 128 * 128
+        assert peak < x.data.nbytes + accumulator + out.data.nbytes + 512 * 1024
 
 
 class TestAvgPool:

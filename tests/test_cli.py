@@ -244,15 +244,41 @@ class TestEnhance:
         assert "byte offset" in capsys.readouterr().err
 
     def test_corrupt_image_after_good_one_writes_nothing(self, workspace, tmp_path, capsys):
-        imgs = tmp_path / "imgs"
-        imgs.mkdir()
-        (imgs / "a.ppm").write_bytes((workspace["data"] / "low_0000.ppm").read_bytes())
-        (imgs / "b.ppm").write_bytes(b"P6\n0 8\n255\n")
+        # a bad header, and a good header with its pixel data cut short
+        for case, (blob, message) in enumerate([(b"P6\n0 8\n255\n", "b.ppm: width 0"),
+                                                 (b"P6\n8 8\n255\n" + bytes(100), "b.ppm: pixel data truncated")]):
+            imgs = tmp_path / f"imgs{case}"
+            imgs.mkdir()
+            (imgs / "a.ppm").write_bytes((workspace["data"] / "low_0000.ppm").read_bytes())
+            (imgs / "b.ppm").write_bytes(blob)
+            out = tmp_path / f"x{case}"
+            code = run(["enhance", "--ckpt", str(workspace["s2"]), "--images", str(imgs), "--out", str(out)])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_decodes_each_image_when_its_turn_comes(self, workspace, tmp_path, monkeypatch):
+        # validated up front, then decoded, enhanced and written one at a time
+        from lumiq import cli
+
+        events = []
+
+        def logged_read(path):
+            events.append(("read", os.path.basename(path)))
+            return read_image(path)
+
+        def logged_write(path, image):
+            events.append(("write", os.path.basename(path)))
+            write_image(path, image)
+
+        monkeypatch.setattr(cli, "read_image", logged_read)
+        monkeypatch.setattr(cli, "write_image", logged_write)
         out = tmp_path / "x"
-        code = run(["enhance", "--ckpt", str(workspace["s2"]), "--images", str(imgs), "--out", str(out)])
-        assert code == 2
-        assert "b.ppm: width 0" in capsys.readouterr().err
-        assert not out.exists()
+        assert run(["enhance", "--ckpt", str(workspace["s2"]), "--images", str(workspace["data"]),
+                    "--out", str(out)]) == 0
+        names = sorted(n for n in os.listdir(workspace["data"]) if n.endswith(".ppm"))
+        assert len(names) > 1
+        assert events == [event for name in names for event in (("read", name), ("write", f"enhanced_{name}"))]
 
     def test_non_finite_ckpt_exits_2_before_out_dir(self, workspace, tmp_path, capsys):
         from lumiq.checkpoint import load_checkpoint, save_checkpoint

@@ -1,9 +1,11 @@
 """Synthetic scenes, degradation properties, metrics oracles, PPM I/O."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lumiq.autodiff import ShapeError, Tensor
 from lumiq.data import (
@@ -37,6 +39,22 @@ def ssim_oracle(a, b):
                 den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
                 vals.append(num / den)
     return float(np.mean(vals))
+
+
+def ssim_window_product_oracle(a, b):
+    """The vectorised formula ssim used before: window views multiplied
+    together, a (n, h-7, w-7, 8, 8) temporary per product."""
+    ga, gb = a.mean(axis=1), b.mean(axis=1)
+    wa = sliding_window_view(ga, (SSIM_WINDOW, SSIM_WINDOW), axis=(1, 2))
+    wb = sliding_window_view(gb, (SSIM_WINDOW, SSIM_WINDOW), axis=(1, 2))
+    mu_a = wa.mean(axis=(3, 4))
+    mu_b = wb.mean(axis=(3, 4))
+    var_a = (wa * wa).mean(axis=(3, 4)) - mu_a * mu_a
+    var_b = (wb * wb).mean(axis=(3, 4)) - mu_b * mu_b
+    cov = (wa * wb).mean(axis=(3, 4)) - mu_a * mu_b
+    num = (2.0 * mu_a * mu_b + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mu_a * mu_a + mu_b * mu_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    return float((num / den).mean())
 
 
 class TestSynthScene:
@@ -171,6 +189,33 @@ class TestSsim:
             a = rng.uniform(size=(2, 3, 12, 14))
             b = np.clip(a + rng.normal(0, 0.1, size=a.shape), 0, 1)
             assert abs(ssim(Tensor(a), Tensor(b)) - ssim_oracle(a, b)) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(1, 3, 8, 8), (1, 3, 8, 13), (1, 3, 21, 9), (3, 3, 16, 20), (2, 3, 64, 48)])
+    @pytest.mark.parametrize("kind", ["noisy", "independent", "identical", "near_black"])
+    def test_same_bits_as_window_product_formula(self, shape, kind):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.uniform(size=shape)
+        if kind == "noisy":
+            b = np.clip(a + rng.normal(0, 0.1, size=shape), 0, 1)
+        elif kind == "independent":
+            b = rng.uniform(size=shape)
+        elif kind == "identical":
+            b = a.copy()
+        else:
+            a, b = a * 1e-3, rng.uniform(size=shape) * 1e-3
+        assert ssim(Tensor(a), Tensor(b)) == ssim_window_product_oracle(a, b)
+
+    def test_peak_memory_at_128(self):
+        # the window-product formula's (1, 121, 121, 8, 8) temporary alone is 7.5 MB
+        rng = np.random.default_rng(15)
+        a, b = rng.uniform(size=(1, 3, 128, 128)), rng.uniform(size=(1, 3, 128, 128))
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_result_in_range(self):
         rng = np.random.default_rng(12)

@@ -11,10 +11,16 @@ saving both checkpoints.  For each stage the script prints the largest
 relative difference between the two runs' loss rows, how many
 checkpoint tensors are bit-identical, the largest elementwise relative
 difference over the tensors both checkpoints hold, and the name of each
-tensor that only one of them holds.  Each tree's stage-2 model
-then enhances one 256x256 generate_pairs image, a size whose convs run far
-more GEMM rows than any training shape; the script prints whether the two
-float outputs are bit-identical and their largest relative difference.
+tensor that only one of them holds.  Each tree's stage-2 checkpoint is
+then loaded in a fresh process of that tree (so the training's own
+high-water mark cannot hide the enhance's), which enhances one 256x256
+generate_pairs image, a size whose convs run far more GEMM rows than any
+training shape; the script prints whether the two float outputs are
+bit-identical and their largest relative difference.  It also prints the
+enhance's memory in each tree: the tracemalloc peak of the call, and how
+far it raised the process's ru_maxrss above its level after the checkpoint
+and the input were loaded (the resident high-water mark, which also counts
+allocator slack that tracemalloc does not see).
 
 It then runs a fixed CLI chain in both trees: synth-data, pretrain and
 train using every override flag (--seed, --config, --iters,
@@ -52,9 +58,8 @@ TOLERANCE = 1e-9
 
 RUN = """
 import json, sys
-import numpy as np
 from lumiq.data import generate_pairs
-from lumiq.training import TrainConfig, enhance, pretrain_vqgan, save_model, train_enhancer
+from lumiq.training import TrainConfig, pretrain_vqgan, save_model, train_enhancer
 
 out = sys.argv[1]
 pairs = generate_pairs(12, 32, seed=3)
@@ -65,8 +70,26 @@ stage2, rows2 = train_enhancer(pairs, stage1, cfg)
 save_model(stage2, out + "/stage2.ckpt")
 with open(out + "/rows.json", "w") as fh:
     json.dump({"stage1": rows1, "stage2": rows2}, fh)
-enhanced, _ = enhance(generate_pairs(1, 256, seed=4)[0].low, stage2)
+"""
+
+ENHANCE = """
+import json, resource, sys, tracemalloc
+import numpy as np
+from lumiq.data import generate_pairs
+from lumiq.training import enhance, load_any
+
+out = sys.argv[1]
+model = load_any(out + "/stage2.ckpt")
+image = generate_pairs(1, 256, seed=4)[0].low
+rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+tracemalloc.start()
+enhanced, _ = enhance(image, model)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+rss_growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss_before
 np.save(out + "/enhanced256.npy", enhanced.data)
+with open(out + "/memory.json", "w") as fh:
+    json.dump({"tracemalloc_peak_mb": peak / 1e6, "maxrss_growth_mb": rss_growth * 1024 / 1e6}, fh)
 """
 
 CLI_CONFIG = "batch_size=2\ncrop=16\nn_codes=32\ncode_dim=8\nbase_channels=4\nd_l=6\nlqm_warmup=2\nn_prompts=5\n"
@@ -94,13 +117,16 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_tree(tree: Path, out: Path) -> dict:
-    """Run the fixed training and the 256x256 enhance in tree's src/, writing into out; returns the loss rows."""
+def run_tree(tree: Path, out: Path) -> tuple[dict, dict]:
+    """Run the fixed training, then the 256x256 enhance in a process of its
+    own, in tree's src/, writing into out; returns the loss rows and the
+    enhance's memory figures."""
     out.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
-    subprocess.run([sys.executable, "-c", RUN, str(out)], env=env, cwd=tree, check=True)
-    with open(out / "rows.json") as fh:
-        return json.load(fh)
+    for script in (RUN, ENHANCE):
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, cwd=tree, check=True)
+    with open(out / "rows.json") as fh, open(out / "memory.json") as mem:
+        return json.load(fh), json.load(mem)
 
 
 def run_cli(tree: Path, work: Path) -> list[tuple[int, str, str]]:
@@ -158,8 +184,8 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         rev_tree = tmp / "rev"
         export(rev, rev_tree)
-        rows_rev = run_tree(rev_tree, tmp / "out_rev")
-        rows_now = run_tree(ROOT, tmp / "out_now")
+        rows_rev, mem_rev = run_tree(rev_tree, tmp / "out_rev")
+        rows_now, mem_now = run_tree(ROOT, tmp / "out_now")
         print(f"parity: {rev} vs working tree")
         broken = []
         for stage in ("stage1", "stage2"):
@@ -176,6 +202,9 @@ def main(argv: list[str]) -> int:
         enh_rev, enh_now = (np.load(tmp / out / "enhanced256.npy") for out in ("out_rev", "out_now"))
         print(f"enhance 256x256: outputs {'bit-identical' if enh_rev.tobytes() == enh_now.tobytes() else 'DIFFER'}, "
               f"max relative difference {max_relative_difference(enh_rev, enh_now):.3g}")
+        print(f"enhance 256x256 memory: tracemalloc peak {mem_rev['tracemalloc_peak_mb']:.1f} MB at {rev}, "
+              f"{mem_now['tracemalloc_peak_mb']:.1f} MB here; ru_maxrss growth {mem_rev['maxrss_growth_mb']:.1f} MB "
+              f"at {rev}, {mem_now['maxrss_growth_mb']:.1f} MB here")
 
         cli_rev = run_cli(rev_tree, tmp / "cli_rev")
         cli_now = run_cli(ROOT, tmp / "cli_now")
