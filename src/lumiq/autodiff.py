@@ -280,8 +280,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def stop_gradient(x: Tensor) -> Tensor:
-    """Forward identity that blocks gradient flow."""
-    return Tensor(x.data.copy())
+    """Forward identity that blocks gradient flow; the result shares x's array."""
+    return Tensor(x.data)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -456,9 +456,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     Stride 1 runs k*k shifted GEMMs over one padded channels-last copy of
     x (forward, input gradient and weight gradient); larger strides use
     im2col patch rows.  The output is a channels-last array viewed as
-    (b, c_out, oh, ow).  Only the weight gradient reads the padded copy: it
-    is kept only if a tape is recording and the weight requires a gradient
-    at forward time, so a weight unfrozen before backward gets none here.
+    (b, c_out, oh, ow).  Only the weight gradient reads the padded copy
+    (stride 1) or the patch rows (larger strides): either is kept only if a
+    tape is recording and the weight requires a gradient at forward time,
+    so a weight unfrozen before backward gets none from this call.
     """
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d needs 4-d input and kernel, got {x.data.shape} and {weight.data.shape}")
@@ -470,16 +471,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise ShapeError(f"conv2d: kernel must be square, got {weight.data.shape}")
     if h + 2 * pad < k or w + 2 * pad < k:
         raise ShapeError(f"conv2d: kernel {k}x{k} exceeds padded input {h + 2 * pad}x{w + 2 * pad}")
+    keep = bool(_TAPE_STACK) and weight.requires_grad  # the weight gradient will run
     if stride == 1:
         xp = _pad_channels_last(x.data, pad)
         res = _correlate(xp, weight.data.transpose(2, 3, 1, 0), None if bias is None else bias.data)
-        if not (_TAPE_STACK and weight.requires_grad):
+        if not keep:
             xp = None  # freed before the compaction below allocates the output
         res = np.ascontiguousarray(res)  # drops the wrapped rows
     else:
         cols = _im2col(x.data, k, stride, pad)
         wmat = weight.data.reshape(c_out, c_in * k * k)
         res = cols @ wmat.T
+        if not keep:
+            cols = None
         if bias is not None:
             res += bias.data
     oh, ow = res.shape[1], res.shape[2]  # res: compact (b, oh, ow, c_out)
@@ -489,8 +493,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     def grad_fn(g):
         gm = g.transpose(0, 2, 3, 1)  # (b, oh, ow, c_out)
         dx = dw = db = None
-        if stride == 1:
-            if x.requires_grad:
+        if x.requires_grad:
+            if stride == 1:
                 # transposed convolution: the output gradient, padded by k-1-pad
                 # (cropped when pad > k-1), correlated with the flipped kernel
                 edge = k - 1 - pad
@@ -498,13 +502,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
                     g, edge = g[:, :, -edge : oh + edge, -edge : ow + edge], 0
                 wflip = weight.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
                 dx = _correlate(_pad_channels_last(g, edge), wflip).transpose(0, 3, 1, 2)
-            if xp is not None and weight.requires_grad:
-                dw = _correlate_weight_grad(xp, gm, k)
-        else:
-            if x.requires_grad:
+            else:
                 dx = _col2im(gm @ wmat, x.data.shape, k, stride, pad)
-            if weight.requires_grad:
-                dw = _dot_rows(gm.reshape(-1, c_out), cols.reshape(-1, c_in * k * k)).reshape(weight.data.shape)
+        if keep and weight.requires_grad:
+            dw = (_correlate_weight_grad(xp, gm, k) if stride == 1 else
+                  _dot_rows(gm.reshape(-1, c_out), cols.reshape(-1, c_in * k * k)).reshape(weight.data.shape))
         if bias is not None and bias.requires_grad:
             db = gm.sum(axis=(0, 1, 2))
         return (dx, dw, db) if bias is not None else (dx, dw)

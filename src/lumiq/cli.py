@@ -40,6 +40,7 @@ from .training import (
     check_stage1_sizes,
     config_lines,
     enhance,
+    evaluate_pairs,
     fit_image,
     format_value,
     load_any,
@@ -158,26 +159,40 @@ def write_manifest(pairs: list[ImagePair], out_dir: str) -> None:
         writer.writerows(rows)
 
 
+def _manifest_row(row: list[str], where: str) -> tuple[int, str, str, DegradeParams]:
+    """(scene_id, low_path, normal_path, params) of one manifest row; ValueError naming where, the field and the value."""
+    if len(row) != len(MANIFEST_HEADER):
+        raise ValueError(f"{where}: expected {len(MANIFEST_HEADER)} fields ({','.join(MANIFEST_HEADER)}), "
+                         f"got {len(row)}: {row!r}")
+    values = {}
+    for key, kind, text in zip(MANIFEST_HEADER, (int, str, str, float, float, float), row):
+        try:
+            values[key] = kind(text)
+        except ValueError:
+            raise ValueError(f"{where}: {key} must be {'an integer' if kind is int else 'a number'}, "
+                             f"got {text!r}") from None
+    try:
+        params = DegradeParams(gamma=values["gamma"], gain=values["gain"], noise_sigma=values["sigma"])
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+    return values["scene_id"], values["low_path"], values["normal_path"], params
+
+
 def read_manifest(data_dir: str) -> list[ImagePair]:
+    """The dataset's pairs; every row is checked before any image is decoded."""
     path = os.path.join(data_dir, MANIFEST_NAME)
-    pairs = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != MANIFEST_HEADER:
             raise ValueError(f"{path}: expected header {','.join(MANIFEST_HEADER)}")
-        for row in reader:
-            scene_id, low_path, normal_path, gamma, gain, sigma = row
-            params = DegradeParams(gamma=float(gamma), gain=float(gain), noise_sigma=float(sigma))
-            pairs.append(ImagePair(
-                low=read_image(os.path.join(data_dir, low_path)),
-                normal=read_image(os.path.join(data_dir, normal_path)),
-                scene_id=int(scene_id),
-                params=params,
-            ))
-    if not pairs:
+        rows = [_manifest_row(row, f"{path}:{reader.line_num}") for row in reader]
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return pairs
+    return [ImagePair(low=read_image(os.path.join(data_dir, low_path)),
+                      normal=read_image(os.path.join(data_dir, normal_path)),
+                      scene_id=scene_id, params=params)
+            for scene_id, low_path, normal_path, params in rows]
 
 
 def require_dataset_crop(pairs: list[ImagePair], crop: int, data_dir: str) -> None:
@@ -297,11 +312,8 @@ def cmd_report(args, cfg: TrainConfig) -> int:
         raise UsageError(f"{args.ckpt} is not a stage-2 checkpoint")
     pairs = read_manifest(args.data)
     os.makedirs(args.out, exist_ok=True)
-    enhanced_rows, raw_rows = [], []
-    for pair in pairs:
-        out, _ = enhance(pair.low, model)
-        enhanced_rows.append((pair.scene_id, psnr(out, pair.normal), ssim(out, pair.normal)))
-        raw_rows.append((pair.scene_id, psnr(pair.low, pair.normal), ssim(pair.low, pair.normal)))
+    enhanced_rows = evaluate_pairs(model, pairs)
+    raw_rows = [(pair.scene_id, psnr(pair.low, pair.normal), ssim(pair.low, pair.normal)) for pair in pairs]
     write_metrics_csv(enhanced_rows, os.path.join(args.out, "metrics_enhanced.csv"))
     write_metrics_csv(raw_rows, os.path.join(args.out, "metrics_raw.csv"))
     mean_enh_p = float(np.mean([r[1] for r in enhanced_rows]))

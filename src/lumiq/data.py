@@ -23,11 +23,12 @@ class DegradeParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma < 1.0:
+        # negated tests, so that NaN fails them too
+        if not self.gamma >= 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if not (0.0 < self.gain <= 1.0):
             raise ValueError(f"gain must be in (0, 1], got {self.gain}")
-        if self.noise_sigma < 0.0:
+        if not self.noise_sigma >= 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -36,6 +36,7 @@ from .losses import (
     write_loss_csv,
 )
 from .lqm import LqmState, light_consistency_loss, light_factors, lqm_contrastive_loss
+from .metrics import psnr, ssim
 from .networks import Decoder, Discriminator, Encoder, set_trainable, tap_channels
 
 
@@ -491,7 +492,7 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     """Stage-2 alternating training of a copy of stage1; stage1 itself is left unchanged.
 
     Per iteration: one tracked encoder pass per input, an LQM update on
-    detached copies of its skips, an enhancer update (encoder copy +
+    its detached skips, an enhancer update (encoder copy +
     prompts + fusion convs) with the combined objective, then a
     discriminator update.  Codebook and decoder core stay frozen
     throughout.  step_hook(phase, step, model) fires after each
@@ -516,14 +517,14 @@ def train_enhancer(pairs: list[ImagePair], stage1: Stage1Model, cfg: TrainConfig
     rows = []
 
     def lqm_update(step: int, skips_ll: list[Tensor], skips_nl: list[Tensor]) -> None:
-        """One step of the factor maps alone, on detached copies of the skips:
+        """One step of the factor maps alone, on the detached skips:
         same-scene (low, normal) rows differ in lighting, normal rows share it."""
         set_trainable(lqm_opt.named_params, True)
         tape = Tape()
         with tape:
             loss = Tensor(0.0)
-            for f_low, f_normal in zip(light_factors([Tensor(s.data) for s in skips_ll], lqm),
-                                       light_factors([Tensor(s.data) for s in skips_nl], lqm)):
+            for f_low, f_normal in zip(light_factors([ad.stop_gradient(s) for s in skips_ll], lqm),
+                                       light_factors([ad.stop_gradient(s) for s in skips_nl], lqm)):
                 loss = ad.add(loss, lqm_contrastive_loss(f_low, f_normal, cfg.margin))
         if not np.isfinite(loss.data):
             raise DivergenceError(f"stage 2 step {step}: LQM loss is not finite")
@@ -596,18 +597,16 @@ def enhance(image: Tensor, model: Stage2Model):
 # evaluation harnesses
 
 
-def evaluate_pairs(model: Stage2Model, pairs: list[ImagePair]):
-    """Mean enhanced PSNR/SSIM against the normal-light references."""
-    from .metrics import psnr, ssim
-
-    ps, ss = [], []
+def evaluate_pairs(model: Stage2Model, pairs: list[ImagePair]) -> list[tuple]:
+    """Rows (scene_id, psnr, ssim): each pair's enhanced low-light image against its normal-light reference."""
+    rows = []
     for pair in pairs:
         out, _ = enhance(pair.low, model)
-        ps.append(psnr(out, pair.normal))
-        ss.append(ssim(out, pair.normal))
-    return float(np.mean(ps)), float(np.mean(ss))
+        rows.append((pair.scene_id, psnr(out, pair.normal), ssim(out, pair.normal)))
+    return rows
 
 
+# the paper's ablation grid: (label, TrainConfig flags), for sweep over replace(cfg, **flags)
 ABLATION_VARIANTS = [
     ("baseline", dict(use_fusion=False, use_lqm=False, use_lapm=False)),
     ("ff", dict(use_fusion=True, use_lqm=False, use_lapm=False)),
@@ -617,32 +616,15 @@ ABLATION_VARIANTS = [
 ]
 
 
-def _sweep(stage1: Stage1Model, train_pairs, eval_pairs, variants) -> list[tuple]:
-    """Rows (label, psnr, ssim), training one enhancer per (label, cfg) from stage1."""
+def sweep(stage1: Stage1Model, train_pairs, eval_pairs, variants) -> list[tuple]:
+    """Rows (label, mean psnr, mean ssim), one per (label, cfg) in variants, in their order:
+    an enhancer trained from stage1 under cfg, scored on eval_pairs.  stage1 is left unchanged."""
     rows = []
-    for label, variant_cfg in variants:
-        model, _ = train_enhancer(train_pairs, stage1, variant_cfg)
-        rows.append((label, *evaluate_pairs(model, eval_pairs)))
+    for label, cfg in variants:
+        model, _ = train_enhancer(train_pairs, stage1, cfg)
+        _, ps, ss = zip(*evaluate_pairs(model, eval_pairs))
+        rows.append((label, float(np.mean(ps)), float(np.mean(ss))))
     return rows
-
-
-def run_ablation(stage1: Stage1Model, train_pairs, eval_pairs, cfg: TrainConfig):
-    """Rows (variant, psnr, ssim), one per component combination."""
-    return _sweep(stage1, train_pairs, eval_pairs,
-                  [(name, replace(cfg, **flags)) for name, flags in ABLATION_VARIANTS])
-
-
-def run_lambda_sweep(stage1: Stage1Model, train_pairs, eval_pairs, cfg: TrainConfig,
-                     lambdas=(1.0, 0.5, 0.001)):
-    """Rows (lambda, psnr, ssim) for the consistency-weight grid."""
-    return _sweep(stage1, train_pairs, eval_pairs,
-                  [(lam, replace(cfg, lambda_lcl=lam)) for lam in lambdas])
-
-
-def run_prompt_sweep(stage1: Stage1Model, train_pairs, eval_pairs, cfg: TrainConfig,
-                     counts=(3, 4, 5, 6)):
-    """Rows (n_prompts, psnr, ssim) for the prompt-count grid."""
-    return _sweep(stage1, train_pairs, eval_pairs, [(n, replace(cfg, n_prompts=n)) for n in counts])
 
 
 def write_stage1_log(rows, path) -> None:

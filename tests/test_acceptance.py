@@ -10,6 +10,7 @@ import csv
 import functools
 import hashlib
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,15 +25,14 @@ from lumiq.losses import feature_matching_loss, total_loss
 from lumiq.lqm import light_consistency_loss, lqm_contrastive_loss
 from lumiq.metrics import psnr, ssim
 from lumiq.training import (
+    ABLATION_VARIANTS,
     TrainConfig,
     enhance,
     evaluate_pairs,
     pretrain_vqgan,
     reconstruct,
-    run_ablation,
-    run_lambda_sweep,
-    run_prompt_sweep,
     save_config,
+    sweep,
     train_enhancer,
 )
 
@@ -275,7 +275,8 @@ def test_freeze_alternation(audited_run):
 @criterion("6 toy run: held-out PSNR gain >= 3 dB and SSIM improves")
 def test_toy_end_to_end(toy):
     assert toy["elapsed"] < 1800.0, f"toy pipeline took {toy['elapsed']:.0f}s"
-    enh_psnr, enh_ssim = evaluate_pairs(toy["stage2"], toy["held_out"])
+    _, enh_ps, enh_ss = zip(*evaluate_pairs(toy["stage2"], toy["held_out"]))
+    enh_psnr, enh_ssim = float(np.mean(enh_ps)), float(np.mean(enh_ss))
     raw_psnr = float(np.mean([psnr(p.low, p.normal) for p in toy["held_out"]]))
     raw_ssim = float(np.mean([ssim(p.low, p.normal) for p in toy["held_out"]]))
     print(f"  held-out: enhanced {enh_psnr:.2f} dB / {enh_ssim:.4f}"
@@ -287,7 +288,8 @@ def test_toy_end_to_end(toy):
 @criterion("7 ablation grid runs and full model >= baseline PSNR")
 def test_ablation_ordering(toy):
     cfg = TrainConfig(seed=11, stage2_iters=400, lqm_warmup=50)
-    rows = run_ablation(toy["stage1"], toy["train_pairs"], toy["held_out"], cfg)
+    rows = sweep(toy["stage1"], toy["train_pairs"], toy["held_out"],
+                 [(name, replace(cfg, **flags)) for name, flags in ABLATION_VARIANTS])
     assert [r[0] for r in rows] == ["baseline", "ff", "ff_lqm", "ff_lapm", "full"]
     by_name = {name: p for name, p, _ in rows}
     print("  " + "  ".join(f"{name}={p:.2f}" for name, p, _ in rows), flush=True)
@@ -316,10 +318,10 @@ def test_code_activation_trend(toy):
 def test_config_sweeps(toy, tmp_path_factory):
     out = tmp_path_factory.mktemp("sweeps")
     cfg = TrainConfig(seed=11, stage2_iters=150, lqm_warmup=30)
-    lam_rows = run_lambda_sweep(toy["stage1"], toy["train_pairs"], toy["held_out"], cfg,
-                                lambdas=(1.0, 0.5, 0.001))
-    prm_rows = run_prompt_sweep(toy["stage1"], toy["train_pairs"], toy["held_out"], cfg,
-                                counts=(3, 4, 5, 6))
+    lam_rows = sweep(toy["stage1"], toy["train_pairs"], toy["held_out"],
+                     [(lam, replace(cfg, lambda_lcl=lam)) for lam in (1.0, 0.5, 0.001)])
+    prm_rows = sweep(toy["stage1"], toy["train_pairs"], toy["held_out"],
+                     [(n, replace(cfg, n_prompts=n)) for n in (3, 4, 5, 6)])
     path = out / "sweeps.csv"
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -397,21 +397,23 @@ class TestConv2d:
 
     @pytest.mark.parametrize("frozen_at_forward", [False, True])
     def test_freeze_toggled_between_forward_and_backward(self, frozen_at_forward):
-        # the forward pass decides whether the weight gradient runs: a weight
-        # frozen afterwards gets none, and one unfrozen afterwards gets none
-        # from this call either, since its padded copy is gone
+        # the forward pass decides whether the weight gradient runs, at every
+        # stride: a weight frozen afterwards gets none, and one unfrozen
+        # afterwards gets none from this call either, since its padded copy
+        # or patch rows are gone
         rng = np.random.default_rng(45)
         x, w = rng.normal(size=(2, 3, 9, 7)), rng.normal(size=(4, 3, 3, 3))
-        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=not frozen_at_forward)
-        g = rng.normal(size=(2, 4, 9, 7))
-        tape = Tape()
-        with tape:
-            loss = ad.sum_all(ad.mul(ad.conv2d(xt, wt, pad=1), Tensor(g)))
-        wt.requires_grad = frozen_at_forward
-        ad.backward(loss, tape)
-        dx, _ = conv_backward_oracle(x, w, g, 1, 1)
-        np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12 * np.abs(dx).max())
-        assert wt.grad is None
+        for stride, out_hw in ((1, (9, 7)), (2, (5, 4))):
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=not frozen_at_forward)
+            g = rng.normal(size=(2, 4, *out_hw))
+            tape = Tape()
+            with tape:
+                loss = ad.sum_all(ad.mul(ad.conv2d(xt, wt, stride=stride, pad=1), Tensor(g)))
+            wt.requires_grad = frozen_at_forward
+            ad.backward(loss, tape)
+            dx, _ = conv_backward_oracle(x, w, g, stride, 1)
+            np.testing.assert_allclose(xt.grad, dx, rtol=1e-12, atol=1e-12 * np.abs(dx).max())
+            assert wt.grad is None, f"stride {stride}"
 
     def test_untaped_conv_frees_padded_copy_before_compaction(self):
         # alive at the compaction: input, accumulator and output; the padded

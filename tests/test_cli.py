@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from lumiq import cli
 from lumiq.cli import run, run_gradcheck
 from lumiq.data import read_image, write_image, synth_scene
-from lumiq.training import TrainConfig, save_config
+from lumiq.metrics import write_metrics_csv
+from lumiq.training import TrainConfig, evaluate_pairs, load_any, save_config
 
 
 def read_tree(root):
@@ -195,6 +197,30 @@ class TestTrainingCommands:
         assert "usage error" in err and "manifest.csv: pair 0 has shape" in err and "crop 32" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("row, message", [
+        ("2,low_0002.ppm,normal_0002.ppm,2", "expected 6 fields"),
+        ("2,low_0002.ppm,normal_0002.ppm,abc,0.3,0.02", "gamma must be a number, got 'abc'"),
+        ("2,low_0002.ppm,normal_0002.ppm,0.5,0.3,0.02", "gamma must be >= 1, got 0.5"),
+        ("2,low_0002.ppm,normal_0002.ppm,nan,0.3,0.02", "gamma must be >= 1, got nan"),
+        ("two,low_0002.ppm,normal_0002.ppm,2,0.3,0.02", "scene_id must be an integer, got 'two'"),
+    ], ids=["4-fields", "gamma-abc", "gamma-0.5", "gamma-nan", "scene_id-two"])
+    def test_malformed_manifest_row_named_before_any_decode(self, workspace, tmp_path, capsys, monkeypatch,
+                                                            row, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        for src in workspace["data"].iterdir():
+            (data / src.name).write_bytes(src.read_bytes())
+        lines = (data / "manifest.csv").read_text().split("\n")
+        lines[3] = row  # the third data row, on line 4
+        (data / "manifest.csv").write_text("\n".join(lines))
+        decoded = []
+        monkeypatch.setattr(cli, "read_image", lambda path: decoded.append(path))
+        out = tmp_path / "x"
+        assert run(["pretrain", "--data", str(data), "--config", str(workspace["cfg_path"]),
+                    "--out", str(out)]) == 2
+        assert f"error: pretrain: ValueError: {data / 'manifest.csv'}:4: {message}" in capsys.readouterr().err
+        assert decoded == [] and not out.exists()
+
     def test_missing_data_dir_exits_2(self, workspace, tmp_path):
         code = run(["pretrain", "--data", str(tmp_path / "nope"),
                     "--config", str(workspace["cfg_path"]), "--out", str(tmp_path / "x")])
@@ -348,6 +374,14 @@ class TestReport:
             assert len(lines) == 7
         printed = capsys.readouterr().out
         assert "psnr gain=" in printed
+
+    def test_enhanced_rows_are_evaluate_pairs(self, workspace, tmp_path):
+        out = tmp_path / "rep"
+        assert run(["report", "--ckpt", str(workspace["s2"]),
+                    "--data", str(workspace["data"]), "--out", str(out)]) == 0
+        rows = evaluate_pairs(load_any(workspace["s2"]), cli.read_manifest(str(workspace["data"])))
+        write_metrics_csv(rows, tmp_path / "expected.csv")
+        assert (out / "metrics_enhanced.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_off_size_dataset(self, workspace, tmp_path):
         data = tmp_path / "data18"

@@ -26,10 +26,9 @@ from lumiq.training import (
     model_entries,
     pretrain_vqgan,
     reconstruct,
-    run_lambda_sweep,
-    run_prompt_sweep,
     save_config,
     save_model,
+    sweep,
     train_enhancer,
     write_stage1_log,
     write_stage2_log,
@@ -588,28 +587,42 @@ class TestHarnesses:
     def test_evaluate_pairs(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
         m2, _ = train_enhancer(tiny_pairs, model, tiny_cfg(stage2_iters=2))
-        p, s = evaluate_pairs(m2, tiny_pairs[:2])
-        assert np.isfinite(p) and -1.0 <= s <= 1.0
+        rows = evaluate_pairs(m2, tiny_pairs[:2])
+        assert [r[0] for r in rows] == [p.scene_id for p in tiny_pairs[:2]]
+        assert all(np.isfinite(p) and -1.0 <= s <= 1.0 for _, p, s in rows)
 
     def test_lambda_sweep_rows(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        cfg = tiny_cfg(stage2_iters=2, lqm_warmup=1)
-        rows = run_lambda_sweep(model, tiny_pairs, tiny_pairs[:2], cfg, lambdas=(0.5, 0.001))
+        lambdas = (0.5, 0.001)
+        rows = sweep(model, tiny_pairs, tiny_pairs[:2],
+                     [(lam, tiny_cfg(stage2_iters=2, lqm_warmup=1, lambda_lcl=lam)) for lam in lambdas])
         assert [r[0] for r in rows] == [0.5, 0.001]
         assert all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
 
     def test_prompt_sweep_rows(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
-        cfg = tiny_cfg(stage2_iters=2, lqm_warmup=1)
-        rows = run_prompt_sweep(model, tiny_pairs, tiny_pairs[:2], cfg, counts=(2, 3))
+        counts = (2, 3)
+        rows = sweep(model, tiny_pairs, tiny_pairs[:2],
+                     [(n, tiny_cfg(stage2_iters=2, lqm_warmup=1, n_prompts=n)) for n in counts])
         assert [r[0] for r in rows] == [2, 3]
         assert all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
+
+    def test_sweep_rows_follow_variants(self, stage1_tiny, tiny_pairs):
+        model, _ = stage1_tiny
+        variants = [(0.001, tiny_cfg(stage2_iters=2, lqm_warmup=1, lambda_lcl=0.001)),
+                    ("two prompts", tiny_cfg(stage2_iters=2, lqm_warmup=1, n_prompts=2)),
+                    (0.5, tiny_cfg(stage2_iters=2, lqm_warmup=1, lambda_lcl=0.5))]
+        rows = sweep(model, tiny_pairs, tiny_pairs[:2], variants)
+        assert [r[0] for r in rows] == [0.001, "two prompts", 0.5]
+        assert all(np.isfinite(r[1]) and np.isfinite(r[2]) for r in rows)
+        # each row is the mean of evaluate_pairs over an enhancer trained under its config
+        scores = evaluate_pairs(train_enhancer(tiny_pairs, model, variants[1][1])[0], tiny_pairs[:2])
+        assert rows[1][1:] == (np.mean([r[1] for r in scores]), np.mean([r[2] for r in scores]))
 
     def test_sweeps_leave_source_model_pristine(self, stage1_tiny, tiny_pairs):
         model, _ = stage1_tiny
         before = snapshot(model.decoder.named_params() + model.disc.named_params())
-        cfg = tiny_cfg(stage2_iters=2, lqm_warmup=1)
-        run_lambda_sweep(model, tiny_pairs, tiny_pairs[:2], cfg, lambdas=(0.5,))
+        sweep(model, tiny_pairs, tiny_pairs[:2], [("lambda", tiny_cfg(stage2_iters=2, lqm_warmup=1, lambda_lcl=0.5))])
         assert_bit_identical(before, model.decoder.named_params() + model.disc.named_params())
 
 

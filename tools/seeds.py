@@ -7,8 +7,9 @@ seed s the toy pipeline of tests/test_acceptance.py runs once in that
 checkout and once in this working tree, each in its own process with one
 BLAS thread and only the public API: generate_pairs(64, 32, seed=11),
 the first 56 pairs trained under TrainConfig(seed=s) with pretrain_vqgan
-then train_enhancer, the last 8 held out.  At most one process per CPU
-runs at once.
+then train_enhancer, the last 8 held out.  The held-out pairs are scored
+with enhance, psnr and ssim, whose signatures every revision shares.  At
+most one process per CPU runs at once.
 
 Per seed and tree it prints the l_lcl ratio that
 test_consistency_loss_trends_down checks (the mean of the last 10% of the
@@ -46,15 +47,17 @@ RUN = """
 import json, sys
 import numpy as np
 from lumiq.data import generate_pairs
-from lumiq.metrics import psnr
-from lumiq.training import TrainConfig, evaluate_pairs, pretrain_vqgan, train_enhancer
+from lumiq.metrics import psnr, ssim
+from lumiq.training import TrainConfig, enhance, pretrain_vqgan, train_enhancer
 
 pairs = generate_pairs(64, 32, seed=11)
 train, held = pairs[:56], pairs[56:]
 cfg = TrainConfig(seed=int(sys.argv[1]))
 stage1, _ = pretrain_vqgan([p.normal for p in train], cfg)
 stage2, rows = train_enhancer(train, stage1, cfg)
-enh_psnr, enh_ssim = evaluate_pairs(stage2, held)
+enhanced = [enhance(p.low, stage2)[0] for p in held]
+enh_psnr = float(np.mean([psnr(out, p.normal) for out, p in zip(enhanced, held)]))
+enh_ssim = float(np.mean([ssim(out, p.normal) for out, p in zip(enhanced, held)]))
 raw_psnr = float(np.mean([psnr(p.low, p.normal) for p in held]))
 print(json.dumps({"rows": rows, "psnr_gain": enh_psnr - raw_psnr, "ssim": enh_ssim}))
 """
