@@ -290,7 +290,10 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[0] != b.data.shape[0] or a.data.shape[2:] != b.data.shape[2:]:
         raise ShapeError(f"concat_channels: shapes {a.data.shape} and {b.data.shape} disagree off-channel")
     ca = a.data.shape[1]
-    out = _result(np.concatenate([a.data, b.data], axis=1), (a, b))
+    # joined channels-last, as conv outputs are, whatever the inputs' layout:
+    # the conv that reads it pads without a transposing copy
+    both = np.concatenate([a.data.transpose(0, 2, 3, 1), b.data.transpose(0, 2, 3, 1)], axis=3)
+    out = _result(both.transpose(0, 3, 1, 2), (a, b))
     record(out, (a, b), lambda g: (g[:, :ca].copy(), g[:, ca:].copy()))
     return out
 
@@ -357,39 +360,56 @@ def _pad_channels_last(x: np.ndarray, pad: int) -> np.ndarray:
 _CORRELATE_ROWS = 512
 
 
+def _tap_windows(flat: np.ndarray, k: int, wp: int, n: int) -> np.ndarray:
+    """Read-only (k, k, n, c) view of C-contiguous flat (rows, c): [i, j, r] is flat row r + i*wp + j.
+
+    Its last row read, n-1 + (k-1)*wp + (k-1), is flat's last row, so the
+    view stays inside the buffer; the ndarray constructor checks that, and
+    costs a quarter of as_strided's call.  The two tap axes cannot merge:
+    a (k*k, n, c) reshape of the view copies the whole window.
+    """
+    rs, cs = flat.strides
+    win = np.ndarray((k, k, n, flat.shape[1]), flat.dtype, flat, 0, (wp * rs, rs, rs, cs))
+    win.flags.writeable = False
+    return win
+
+
 def _correlate(xp: np.ndarray, wt: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Stride-1 cross-correlation of a padded channels-last buffer.
 
     xp (b, hp, wp, c_in), taps wt (k, k, c_in, c_out), bias (c_out,) or None
     -> (b, oh, ow, c_out) view.  Over the buffer's flat rows, tap (i, j) is
     one GEMM against the rows shifted by i*wp + j, run in blocks of
-    _CORRELATE_ROWS output rows; the bias joins each block after its last
-    tap, while the block is still in cache.  Rows that wrap past a row or
-    batch end are computed and dropped.
+    _CORRELATE_ROWS output rows: one batched matmul per kernel row i gives
+    that row's k products, which join the block in row-major tap order.
+    The bias joins each block after its last tap, while the block is still
+    in cache.  Rows that wrap past a row or batch end are computed and
+    dropped.
     """
     b, hp, wp, c_in = xp.shape
     k, c_out = wt.shape[0], wt.shape[3]
-    # np.dot copies a tap with no unit stride to C order on every call: copy
-    # each once.  A tap with one stays as it is, since its memory order picks
-    # the GEMM kernel and with it the bits.
-    taps = [[t if t.itemsize in t.strides else np.ascontiguousarray(t) for t in row] for row in wt]
+    # matmul takes its slow non-BLAS loop for a tap with no unit stride: copy
+    # the taps once.  Taps with one (the 1x1 case) stay as they are, since
+    # their memory order picks the GEMM kernel and with it the bits.
+    taps = wt if wt.itemsize in wt.strides[2:] else np.ascontiguousarray(wt)
     flat = xp.reshape(-1, c_in)
     n = flat.shape[0] - (k - 1) * wp - (k - 1)
+    win = _tap_windows(flat, k, wp, n)
     acc = np.empty((b * hp * wp, c_out))
-    scratch = np.empty((min(n, _CORRELATE_ROWS), c_out))
+    scratch = np.empty((k, min(n, _CORRELATE_ROWS), c_out))
     # the bias tiled to block rows: one flat add per block, where a broadcast
     # (c_out,) add runs one short inner loop per row
-    bias_rows = None if bias is None else np.tile(bias, (len(scratch), 1))
+    bias_rows = None if bias is None else np.tile(bias, (scratch.shape[1], 1))
     for s in range(0, n, _CORRELATE_ROWS):
         e = min(s + _CORRELATE_ROWS, n)
-        block, prod = acc[s:e], scratch[: e - s]
-        np.dot(flat[s:e], taps[0][0], out=block)
+        block, prod = acc[s:e], scratch[:, : e - s]
         for i in range(k):
+            np.matmul(win[i, :, s:e], taps[i], out=prod)
             for j in range(k):
                 if i or j:
-                    off = i * wp + j
-                    np.dot(flat[s + off : e + off], taps[i][j], out=prod)
-                    block += prod
+                    block += prod[j]
+                else:
+                    block[...] = prod[0]
         if bias is not None:
             block += bias_rows[: e - s]
     return acc.reshape(b, hp, wp, c_out)[:, : hp - k + 1, : wp - k + 1]
@@ -416,6 +436,8 @@ def _correlate_weight_grad(xp: np.ndarray, gm: np.ndarray, k: int) -> np.ndarray
 
     gm is laid on the zeroed padded grid so each tap is one GEMM against
     the same shifted rows as the forward pass; wrapped rows meet zeros.
+    Each block of _REDUCE_ROWS rows is one batched matmul over all k*k
+    taps, and the blocks are summed in order.
     """
     b, hp, wp, c_in = xp.shape
     _, oh, ow, c_out = gm.shape
@@ -423,9 +445,12 @@ def _correlate_weight_grad(xp: np.ndarray, gm: np.ndarray, k: int) -> np.ndarray
     grid[:, :oh, :ow] = gm
     flat = xp.reshape(-1, c_in)
     n = flat.shape[0] - (k - 1) * wp - (k - 1)
-    gflat = grid.reshape(-1, c_out)[:n]
-    taps = [_dot_rows(gflat, flat[i * wp + j : i * wp + j + n]) for i in range(k) for j in range(k)]
-    return np.stack(taps).reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
+    gt = grid.reshape(-1, c_out)[:n].T
+    win = _tap_windows(flat, k, wp, n)
+    out = np.matmul(gt[:, :_REDUCE_ROWS], win[:, :, :_REDUCE_ROWS])
+    for s in range(_REDUCE_ROWS, n, _REDUCE_ROWS):
+        out += np.matmul(gt[:, s : s + _REDUCE_ROWS], win[:, :, s : s + _REDUCE_ROWS])
+    return out.transpose(2, 3, 0, 1)
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:

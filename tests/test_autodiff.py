@@ -104,15 +104,31 @@ DEFAULT_CONVS = [
     ((4, 32, 16, 16), (32, 32, 3, 3), 1, 1),
     ((4, 64, 8, 8), (32, 64, 3, 3), 1, 1),
     ((4, 64, 8, 8), (64, 64, 3, 3), 1, 1),
-    ((64, 16, 1, 1), (5, 16, 1, 1), 1, 0),
-    ((64, 32, 1, 1), (5, 32, 1, 1), 1, 0),
-    ((1, 32, 1, 1), (16, 32, 1, 1), 1, 0),
+    ((4, 16, 4, 4), (5, 16, 1, 1), 1, 0),
+    ((4, 32, 4, 4), (5, 32, 1, 1), 1, 0),
     ((4, 32, 1, 1), (16, 32, 1, 1), 1, 0),
-    ((1, 256, 1, 1), (32, 256, 1, 1), 1, 0),
     ((4, 256, 1, 1), (32, 256, 1, 1), 1, 0),
-    ((1, 1024, 1, 1), (32, 1024, 1, 1), 1, 0),
     ((4, 1024, 1, 1), (32, 1024, 1, 1), 1, 0),
 ]
+
+# 1x1 convs earlier revisions of the default TrainConfig ran, kept as oracle
+# cases: LQM's batch-1 convs, and LAPM's per-patch convs from before it ran
+# on the feature grid.  The parametrized lists below put the first after
+# DEFAULT_CONVS and the second last, so the earlier cases keep their ids.
+FORMER_LQM_CONVS = [
+    ((1, 32, 1, 1), (16, 32, 1, 1), 1, 0),
+    ((1, 256, 1, 1), (32, 256, 1, 1), 1, 0),
+    ((1, 1024, 1, 1), (32, 1024, 1, 1), 1, 0),
+]
+FORMER_LAPM_CONVS = [
+    ((64, 16, 1, 1), (5, 16, 1, 1), 1, 0),
+    ((64, 32, 1, 1), (5, 32, 1, 1), 1, 0),
+]
+
+
+def stride1(convs):
+    """(xshape, wshape, pad) of the stride-1 entries of a conv list."""
+    return [(x, w, pad) for x, w, stride, pad in convs if stride == 1]
 
 
 def correlate_rows(xshape, wshape, pad):
@@ -121,6 +137,44 @@ def correlate_rows(xshape, wshape, pad):
     k = wshape[2]
     hp, wp = h + 2 * pad, w + 2 * pad
     return b * hp * wp - (k - 1) * wp - (k - 1)
+
+
+def correlate_per_tap(xp, wt, bias=None):
+    """_correlate with one np.dot per tap: each row block of _CORRELATE_ROWS
+    starts as tap (0, 0)'s product, every later tap's product is added in
+    row-major tap order, then the bias."""
+    b, hp, wp, c_in = xp.shape
+    k, c_out = wt.shape[0], wt.shape[3]
+    taps = [[t if t.itemsize in t.strides else np.ascontiguousarray(t) for t in row] for row in wt]
+    flat = xp.reshape(-1, c_in)
+    n = flat.shape[0] - (k - 1) * wp - (k - 1)
+    acc = np.empty((b * hp * wp, c_out))
+    prod = np.empty((min(n, ad._CORRELATE_ROWS), c_out))
+    for s in range(0, n, ad._CORRELATE_ROWS):
+        e = min(s + ad._CORRELATE_ROWS, n)
+        block = acc[s:e]
+        np.dot(flat[s:e], taps[0][0], out=block)
+        for i in range(k):
+            for j in range(k):
+                if i or j:
+                    np.dot(flat[s + i * wp + j : e + i * wp + j], taps[i][j], out=prod[: e - s])
+                    block += prod[: e - s]
+        if bias is not None:
+            block += bias
+    return acc.reshape(b, hp, wp, c_out)[:, : hp - k + 1, : wp - k + 1]
+
+
+def weight_grad_per_tap(xp, gm, k):
+    """_correlate_weight_grad with one _dot_rows reduction per tap."""
+    b, hp, wp, c_in = xp.shape
+    _, oh, ow, c_out = gm.shape
+    grid = np.zeros((b, hp, wp, c_out))
+    grid[:, :oh, :ow] = gm
+    flat = xp.reshape(-1, c_in)
+    n = flat.shape[0] - (k - 1) * wp - (k - 1)
+    gflat = grid.reshape(-1, c_out)[:n]
+    taps = [ad._dot_rows(gflat, flat[i * wp + j : i * wp + j + n]) for i in range(k) for j in range(k)]
+    return np.stack(taps).reshape(k, k, c_out, c_in).transpose(2, 3, 0, 1)
 
 
 # The formulas leaky_relu, sigmoid and log_sigmoid used before they were
@@ -236,6 +290,12 @@ class TestConv2d:
         for bias in (Tensor(rng.normal(size=4)), None):
             out = ad.conv2d(x, w, bias, stride=stride, pad=1)
             assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
+            # the fusion and inject convs read a concat of two such outputs;
+            # the concat is channels-last whatever its inputs' layout
+            for other in (ad.conv2d(x, w, bias, stride=stride, pad=1), Tensor(np.ascontiguousarray(out.data))):
+                both = ad.concat_channels(out, other)
+                assert both.data.transpose(0, 2, 3, 1).flags.c_contiguous
+                np.testing.assert_array_equal(both.data, np.concatenate([out.data, other.data], axis=1))
 
     def test_stride1_never_builds_patch_rows(self, monkeypatch):
         def no_im2col(*args):
@@ -280,7 +340,7 @@ class TestConv2d:
         assert ad.check_gradients(lambda t: ad.sum_all(ad.square(ad.conv2d(t, w, b, stride=1, pad=0))), x) < 1e-4
         assert ad.check_gradients(lambda t: ad.sum_all(ad.square(ad.conv2d(x, t, b, stride=1, pad=0))), w) < 1e-4
 
-    @pytest.mark.parametrize("xshape,wshape,stride,pad", DEFAULT_CONVS + [
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", DEFAULT_CONVS + FORMER_LQM_CONVS + [
         # unpadded, over-padded, pad > k-1, non-square
         ((2, 3, 7, 7), (4, 3, 3, 3), 1, 0),
         ((2, 3, 7, 7), (4, 3, 3, 3), 1, 2),
@@ -292,7 +352,7 @@ class TestConv2d:
         ((2, 3, 5, 5), (4, 3, 1, 1), 1, 0),
         ((2, 2, 5, 5), (3, 2, 3, 3), 1, 3),
         ((2, 3, 3, 3), (4, 3, 3, 3), 1, 0),
-    ] + [(x, w, 1, pad) for x, w, pad in MULTI_BLOCK_CASES])
+    ] + [(x, w, 1, pad) for x, w, pad in MULTI_BLOCK_CASES] + FORMER_LAPM_CONVS)
     def test_backward_matches_scatter_oracle(self, xshape, wshape, stride, pad):
         rng = np.random.default_rng(sum(xshape) + sum(wshape) + stride + pad)
         x = Tensor(rng.normal(size=xshape), requires_grad=True)
@@ -316,7 +376,7 @@ class TestConv2d:
             assert n > rows and n % rows and rows % wp
             assert any(s < batch_rows < s + rows for s in range(rows, n, rows))
 
-    @pytest.mark.parametrize("xshape,wshape,pad", [(x, w, pad) for x, w, stride, pad in DEFAULT_CONVS if stride == 1])
+    @pytest.mark.parametrize("xshape,wshape,pad", stride1(DEFAULT_CONVS + FORMER_LQM_CONVS + FORMER_LAPM_CONVS))
     def test_row_blocks_change_no_bits_at_training_shapes(self, monkeypatch, xshape, wshape, pad):
         # forward and input gradient in blocks against one block of every row:
         # the same per-tap GEMMs in the same order, so the same bits
@@ -337,7 +397,8 @@ class TestConv2d:
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
-    @pytest.mark.parametrize("xshape,wshape,stride,pad", DEFAULT_CONVS + [(x, w, 1, pad) for x, w, pad in MULTI_BLOCK_CASES])
+    @pytest.mark.parametrize("xshape,wshape,stride,pad", DEFAULT_CONVS + FORMER_LQM_CONVS
+                             + [(x, w, 1, pad) for x, w, pad in MULTI_BLOCK_CASES] + FORMER_LAPM_CONVS)
     def test_output_bits_equal_compacted_sum_plus_bias(self, xshape, wshape, stride, pad):
         # the bias added per row block (or in place at stride 2) against adding
         # it to the whole compacted product afterwards
@@ -372,8 +433,8 @@ class TestConv2d:
         assert (xp[border] == 0.0).all() and not np.signbit(xp[border]).any()
         assert xp.flags.c_contiguous
 
-    @pytest.mark.parametrize("xshape,wshape,pad", [(x, w, pad) for x, w, stride, pad in DEFAULT_CONVS if stride == 1]
-                             + MULTI_BLOCK_CASES)
+    @pytest.mark.parametrize("xshape,wshape,pad", stride1(DEFAULT_CONVS + FORMER_LQM_CONVS) + MULTI_BLOCK_CASES
+                             + stride1(FORMER_LAPM_CONVS))
     def test_untaped_and_frozen_weight_convs_keep_bits(self, xshape, wshape, pad):
         # a trainable weight under a tape keeps the padded copy; a frozen one
         # and a conv with no tape drop it, with the same output bits and
@@ -431,6 +492,63 @@ class TestConv2d:
         accumulator = 8 * 130 * 130 * 16
         assert out.data.nbytes == x.data.nbytes == 8 * 16 * 128 * 128
         assert peak < x.data.nbytes + accumulator + out.data.nbytes + 512 * 1024
+
+
+    @pytest.mark.parametrize("xshape,wshape,pad", stride1(DEFAULT_CONVS + FORMER_LQM_CONVS + FORMER_LAPM_CONVS)
+                             + MULTI_BLOCK_CASES + [((1, 16, 128, 128), (16, 16, 3, 3), 1),
+                                                    ((1, 16, 128, 128), (3, 16, 3, 3), 1)])
+    def test_batched_taps_keep_per_tap_bits(self, xshape, wshape, pad):
+        # forward, input gradient and weight gradient against one GEMM per tap
+        rng = np.random.default_rng(sum(xshape) + sum(wshape) + 5 * pad)
+        x, w, b = rng.normal(size=xshape), rng.normal(size=wshape), rng.normal(size=wshape[0])
+        k = wshape[2]
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        tape = Tape()
+        with tape:
+            out = ad.conv2d(xt, wt, Tensor(b), pad=pad)
+            g = rng.normal(size=out.data.shape)
+            loss = ad.sum_all(ad.mul(out, Tensor(g)))
+        ad.backward(loss, tape)
+        xp = ad._pad_channels_last(x, pad)
+        want = correlate_per_tap(xp, w.transpose(2, 3, 1, 0), b)
+        wflip = w[:, :, ::-1, ::-1].transpose(2, 3, 0, 1)
+        dx = correlate_per_tap(ad._pad_channels_last(g, k - 1 - pad), wflip).transpose(0, 3, 1, 2)
+        np.testing.assert_array_equal(out.data, np.ascontiguousarray(want).transpose(0, 3, 1, 2))
+        np.testing.assert_array_equal(xt.grad, dx)
+        np.testing.assert_array_equal(wt.grad, weight_grad_per_tap(xp, g.transpose(0, 2, 3, 1), k))
+
+    def test_tap_windows_is_a_read_only_view_in_bounds(self):
+        xp = np.arange(2 * 6 * 5 * 3, dtype=float).reshape(2, 6, 5, 3)
+        flat = xp.reshape(-1, 3)
+        k, wp = 3, 5
+        n = flat.shape[0] - (k - 1) * wp - (k - 1)
+        win = ad._tap_windows(flat, k, wp, n)
+        assert win.shape == (k, k, n, 3) and np.shares_memory(win, flat) and not win.flags.writeable
+        for i in range(k):
+            for j in range(k):
+                np.testing.assert_array_equal(win[i, j], flat[i * wp + j : i * wp + j + n])
+        assert win[k - 1, k - 1, n - 1].tobytes() == flat[-1].tobytes()
+
+    def test_default_convs_are_the_default_step_convs(self, monkeypatch):
+        # one stage-1 and one stage-2 step (LQM update included) at the
+        # default TrainConfig run exactly the convs DEFAULT_CONVS lists
+        from dataclasses import replace
+        from lumiq.data import generate_pairs
+        from lumiq.training import TrainConfig, pretrain_vqgan, train_enhancer
+
+        seen = set()
+        conv2d = ad.conv2d
+
+        def recording(x, weight, bias=None, stride=1, pad=0):
+            seen.add((x.data.shape, weight.data.shape, stride, pad))
+            return conv2d(x, weight, bias, stride, pad)
+
+        monkeypatch.setattr(ad, "conv2d", recording)
+        pairs = generate_pairs(4, 32, seed=0)
+        cfg = replace(TrainConfig(), stage1_iters=1, stage2_iters=1, lqm_warmup=0)
+        stage1, _ = pretrain_vqgan([p.normal for p in pairs], cfg)
+        train_enhancer(pairs, stage1, cfg)
+        assert seen == set(DEFAULT_CONVS)
 
 
 class TestAvgPool:
