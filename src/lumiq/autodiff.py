@@ -290,8 +290,10 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[0] != b.data.shape[0] or a.data.shape[2:] != b.data.shape[2:]:
         raise ShapeError(f"concat_channels: shapes {a.data.shape} and {b.data.shape} disagree off-channel")
     ca = a.data.shape[1]
-    # joined channels-last, as conv outputs are, whatever the inputs' layout:
-    # the conv that reads it pads without a transposing copy
+    # joined on the channels-last views: np.concatenate keeps its inputs'
+    # memory order and, where they disagree, this axis order, so the output is
+    # channels-last if either input is (the conv reading it pads without a
+    # transposing copy); two NCHW inputs, as the LQM's factor rows, stay NCHW
     both = np.concatenate([a.data.transpose(0, 2, 3, 1), b.data.transpose(0, 2, 3, 1)], axis=3)
     out = _result(both.transpose(0, 3, 1, 2), (a, b))
     record(out, (a, b), lambda g: (g[:, :ca].copy(), g[:, ca:].copy()))

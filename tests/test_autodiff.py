@@ -290,12 +290,17 @@ class TestConv2d:
         for bias in (Tensor(rng.normal(size=4)), None):
             out = ad.conv2d(x, w, bias, stride=stride, pad=1)
             assert out.data.transpose(0, 2, 3, 1).flags.c_contiguous
-            # the fusion and inject convs read a concat of two such outputs;
-            # the concat is channels-last whatever its inputs' layout
-            for other in (ad.conv2d(x, w, bias, stride=stride, pad=1), Tensor(np.ascontiguousarray(out.data))):
-                both = ad.concat_channels(out, other)
-                assert both.data.transpose(0, 2, 3, 1).flags.c_contiguous
-                np.testing.assert_array_equal(both.data, np.concatenate([out.data, other.data], axis=1))
+            # the fusion and inject convs read a concat of two such outputs:
+            # it is channels-last if either input is, and NCHW when both are
+            nchw = Tensor(np.ascontiguousarray(out.data))
+            pairs = ((out, ad.conv2d(x, w, bias, stride=stride, pad=1)), (out, nchw), (nchw, out), (nchw, nchw))
+            for first, second in pairs:
+                both = ad.concat_channels(first, second)
+                if second is nchw and first is nchw:
+                    assert both.data.flags.c_contiguous
+                else:
+                    assert both.data.transpose(0, 2, 3, 1).flags.c_contiguous
+                np.testing.assert_array_equal(both.data, np.concatenate([first.data, second.data], axis=1))
 
     def test_stride1_never_builds_patch_rows(self, monkeypatch):
         def no_im2col(*args):

@@ -1,6 +1,6 @@
 """Time every stride-1 conv the model runs, in a git revision and in the working tree.
 
-    python tools/convtime.py REV [--repeats 21]
+    python tools/convtime.py REV
 
 REV is exported with git archive into a temporary directory.  The shapes
 are recorded in this working tree: the stride-1 conv2d calls of one
@@ -14,7 +14,7 @@ alone and the weight gradient alone.  The gradients are timed by calling
 the conv's tape record directly, so no other op's backward is counted.
 Each of the three calls per shape is timed once per round over all the
 shapes, as a training step or an enhance interleaves them, and the
-script reports its median over --repeats rounds after one warm-up round.
+script reports its median over REPEATS (41) rounds after one warm-up round.
 
 Per shape the script prints the three medians in both trees, and whether
 the forward output, the input gradient and the weight gradient are
@@ -108,6 +108,7 @@ print(json.dumps([{"ms": [1e3 * statistics.median(slot) for slot in slots], "dig
 """
 
 PARTS = ("forward", "input grad", "weight grad")
+REPEATS = 41
 
 
 def run(tree: Path, script: str, *args: str) -> list:
@@ -126,16 +127,13 @@ def label(shape: list) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("rev")
-    parser.add_argument("--repeats", type=int, default=21)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     shapes = run(ROOT, RECORD)
     with tempfile.TemporaryDirectory() as tmp:
         rev_tree = Path(tmp) / "rev"
         export(args.rev, rev_tree)
-        timed = [run(tree, TIME, json.dumps(shapes), str(args.repeats)) for tree in (rev_tree, ROOT)]
-    print(f"convtime: {args.rev} vs working tree, median ms over {args.repeats} rounds, one BLAS thread")
+        timed = [run(tree, TIME, json.dumps(shapes), str(REPEATS)) for tree in (rev_tree, ROOT)]
+    print(f"convtime: {args.rev} vs working tree, median ms over {REPEATS} rounds, one BLAS thread")
     width = max(len(label(shape)) for shape in shapes)
     print(f"{'shape':<{width}}  " + "  ".join(f"{part + ' ms':>19}" for part in PARTS) + "  bits")
     differing = 0
